@@ -6,8 +6,7 @@ Bohr-Sommerfeld predictions generated by complex action integrals.
 __version__ = "0.1.0"
 
 from .action import (ActionMap, QuantizationPrediction, Rectangle,
-                     action_integral, invert_action, predict_spectrum,
-                     solve_level_set)
+                     predict_spectrum)
 from .circle_quantize import quantize_circle
 from .compare import MatchedPair, PairingSummary, pair_spectra
 from .eig import SpectrumResult, eigenvalues, eigenvalues_of
@@ -36,11 +35,11 @@ __all__ = [
     "PairingSummary", "PipelineError", "PlaneSymbol",
     "QuantizationPrediction", "Rectangle", "SemispecError",
     "SolverError", "SpectrumResult", "TruncatedOperator", "TruncationError",
-    "action_integral", "eigenvalues", "eigenvalues_of", "eval_circle",
+    "eigenvalues", "eigenvalues_of", "eval_circle",
     "eval_plane", "format_circle", "format_plane", "format_symbol",
-    "invert_action", "ladder", "pair_spectra", "parse_circle",
+    "ladder", "pair_spectra", "parse_circle",
     "parse_plane", "parse_symbol", "predict_spectrum", "pt_symmetry_check",
     "pt_verify", "pullback_action_angle", "quantize_circle",
     "quantize_plane", "reproduce_figures", "run_experiment",
-    "solve_level_set", "theta_average", "weyl_monomial",
+    "theta_average", "weyl_monomial",
 ]

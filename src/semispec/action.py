@@ -64,7 +64,11 @@ class Rectangle:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 4:
             raise ConfigError("rect needs re_min,re_max,im_min,im_max")
-        return cls(*(float(p) for p in parts))
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ConfigError(f"rect: {exc}") from exc
+        return cls(*values)
 
     def as_tuple(self):
         return (self.re_min, self.re_max, self.im_min, self.im_max)
@@ -102,9 +106,11 @@ class ActionMap:
     """Queryable complex action map for one cylinder symbol.
 
     The underlying evaluator comes from CircleSymbol.cylinder_map(eps) or
-    from pullback_action_angle(plane_symbol).  Instances are immutable
-    apart from a cached real seed; per-call continuation state is local,
-    so concurrent queries are safe.
+    from pullback_action_angle(plane_symbol).  Instances hold no state
+    besides their construction parameters: every query depends on its
+    arguments alone, whatever was asked before, so concurrent queries are
+    safe.  The query surface is solve_level_set, action_integral,
+    action_derivative, invert_action and averaged_value.
     """
 
     def __init__(self, cylinder, num_nodes=DEFAULT_NODES,
@@ -116,7 +122,6 @@ class ActionMap:
         self.num_nodes = int(num_nodes)
         self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)
-        self._seed_cache = None
 
     @property
     def eps(self):
@@ -146,20 +151,20 @@ class ActionMap:
             f"level-set Newton did not converge in {self.newton_max_iter} "
             "iterations")
 
-    def _solve_levels(self, energies):
+    def _solve_levels(self, energies, near=None):
         """Sampled loops I(theta_j) for a batch of energies.
 
         Returns an array of shape (num_nodes, len(energies)); node 0 is
-        seeded from the real inverse of the unperturbed part and the
-        following nodes by continuation; a final wrap-around step back to
-        theta = 2*pi must land on node 0 again.
+        seeded from the real inverse of the unperturbed part (the real
+        root nearest ``near[i]`` for energy i, or the smallest in modulus
+        without ``near``) and the following nodes by continuation; a final
+        wrap-around step back to theta = 2*pi must land on node 0 again.
         """
         energies = np.atleast_1d(np.asarray(energies, dtype=complex))
-        near = self._seed_cache
-        seeds = np.array([self.cyl.seed_action(e.real, near=near)
-                          for e in energies], dtype=complex)
-        if seeds.size:
-            self._seed_cache = float(seeds[0].real)
+        if near is None:
+            near = [None] * energies.size
+        seeds = np.array([self.cyl.seed_action(e.real, near=n)
+                          for e, n in zip(energies, near)], dtype=complex)
         out = np.empty((self.num_nodes, energies.size), dtype=complex)
         cur = self._newton_nodes(0.0, seeds, energies)
         out[0] = cur
@@ -196,9 +201,10 @@ class ActionMap:
     def _invert_batch(self, targets):
         targets = np.atleast_1d(np.asarray(targets, dtype=complex))
         E = np.asarray(self.cyl.f_action(targets), dtype=complex).copy()
+        near = targets.real
         done = np.zeros(targets.shape, dtype=bool)
         for _ in range(self.newton_max_iter):
-            levels = self._solve_levels(E)
+            levels = self._solve_levels(E, near)
             act = levels.mean(axis=0)
             r = act - targets
             done = np.abs(r) <= self.newton_tol
@@ -210,7 +216,7 @@ class ActionMap:
                 raise DegeneracyError(
                     "|d action/dE| below 1e-10: action map degenerate here")
             E = np.where(done, E, E - r / d)
-        final = self._solve_levels(E).mean(axis=0)
+        final = self._solve_levels(E, near).mean(axis=0)
         err = np.abs(final - targets)
         if np.any(err > INVERSION_TOL):
             raise InversionError(
@@ -228,22 +234,6 @@ class ActionMap:
         both evaluated at the action value s."""
         s = np.asarray(s, dtype=complex)
         return self.cyl.f_action(s) + 1j * self.eps * self.cyl.q_average_value(s)
-
-    def predict_spectrum(self, hbar, rule, mode, rect, floquet_offset=0.0):
-        return predict_spectrum(self, hbar, rule, mode, rect,
-                                floquet_offset=floquet_offset)
-
-
-def solve_level_set(am: ActionMap, E):
-    return am.solve_level_set(E)
-
-
-def action_integral(am: ActionMap, E):
-    return am.action_integral(E)
-
-
-def invert_action(am: ActionMap, I_target):
-    return am.invert_action(I_target)
 
 
 def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,

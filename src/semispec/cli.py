@@ -3,8 +3,11 @@
 Subcommands: quantize, spectrum, predict, compare, reproduce-figures,
 pt-verify.  Flags can also come from a flat key/value config file
 (--config FILE, lines "key = value", '#' comments); explicit flags win.
-Exit codes: 0 success, 2 config error, 3 numeric failure (the failing
-stage is named on stderr).
+Exit codes: 0 success, 2 config error (also for malformed --rect or
+--window values and for a --config or --matrix file that is missing,
+unreadable or malformed), 3 numeric failure (the failing stage is named
+on stderr).  Every subcommand runs the stage functions of
+semispec.experiments.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import sys
 from pathlib import Path
 
 from .action import Rectangle
-from .eig import eigenvalues_of
-from .errors import ConfigError, NumericError, PipelineError
+from .errors import ConfigError, NumericError
 from .experiments import (ExperimentConfig, build_action_map, build_operator,
-                          default_rect, prediction_rule, pt_verify,
-                          reproduce_figures, run_experiment, _write_text)
+                          default_rect, eigenvalues_of, predict_modes,
+                          pt_verify, reproduce_figures, run_experiment,
+                          _write_text)
 from .operators import TruncatedOperator
 
 
@@ -74,9 +77,16 @@ _CONFIG_KEYS = {
 }
 
 
+def _read_input(path):
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_config_file(path):
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_input(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -122,7 +132,10 @@ def _experiment_config(args):
         parts = [p.strip() for p in str(merged["window"]).split(",")]
         if len(parts) != 2:
             raise ConfigError("window needs lo,hi")
-        window = (float(parts[0]), float(parts[1]))
+        try:
+            window = (float(parts[0]), float(parts[1]))
+        except ValueError as exc:
+            raise ConfigError(f"window: {exc}") from exc
     rect = Rectangle.parse(merged["rect"]) if merged.get("rect") else None
     maslov = merged.get("maslov", "on")
     if maslov not in ("on", "off"):
@@ -148,8 +161,8 @@ def _experiment_config(args):
     return ExperimentConfig(**kwargs)
 
 
-def _out_dir(cfg, default="."):
-    out = Path(cfg.out) if cfg.out else Path(default)
+def _out_dir(out):
+    out = Path(out) if out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -157,7 +170,7 @@ def _out_dir(cfg, default="."):
 def _cmd_quantize(args):
     cfg = _experiment_config(args)
     _, op = build_operator(cfg)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     _write_text(out / "operator.json",
                 json.dumps(op.to_json_dict(), sort_keys=True) + "\n")
     _write_text(out / "operator.csv", op.to_csv())
@@ -166,16 +179,14 @@ def _cmd_quantize(args):
 
 
 def _cmd_spectrum(args):
-    if getattr(args, "matrix", None):
-        op = TruncatedOperator.from_json(Path(args.matrix).read_text())
-        out = Path(args.out) if args.out else Path(".")
-        out.mkdir(parents=True, exist_ok=True)
-        spec = eigenvalues_of(op)
+    if args.matrix:
+        op = TruncatedOperator.from_json(_read_input(args.matrix))
+        out = _out_dir(args.out)
     else:
         cfg = _experiment_config(args)
         _, op = build_operator(cfg)
-        out = _out_dir(cfg)
-        spec = eigenvalues_of(op)
+        out = _out_dir(cfg.out)
+    spec = eigenvalues_of(op)
     _write_text(out / "spectrum.csv", spec.to_csv())
     print(f"wrote {out / 'spectrum.csv'} ({len(spec.eigenvalues)} eigenvalues, "
           f"max residual {spec.tolerance:.3e})")
@@ -186,11 +197,8 @@ def _cmd_predict(args):
     cfg = _experiment_config(args)
     am = build_action_map(cfg)
     rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
-    rule = prediction_rule(cfg)
-    out = _out_dir(cfg)
-    for mode in ("averaged_first_order", "principal_exact"):
-        pred = am.predict_spectrum(cfg.hbar_value(), rule, mode, rect,
-                                   floquet_offset=cfg.floquet_offset)
+    out = _out_dir(cfg.out)
+    for mode, pred in predict_modes(cfg, am, rect).items():
         _write_text(out / f"predictions_{mode}.csv", pred.to_csv())
         _write_text(out / f"predictions_{mode}.json",
                     json.dumps(pred.to_json_dict(), sort_keys=True) + "\n")
@@ -246,9 +254,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except PipelineError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

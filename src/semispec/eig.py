@@ -14,12 +14,12 @@ contract; downstream code only sees SpectrumResult.
 from __future__ import annotations
 
 import cmath
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, SolverError
+from .operators import matrix_fingerprint
 
 DEFLATION_TOL = 1e-14
 MAX_ITER_FACTOR = 40
@@ -49,44 +49,6 @@ class SpectrumResult:
         for lam, res in zip(self.eigenvalues, self.residuals):
             lines.append(f"{lam.real!r},{lam.imag!r},{res!r}")
         return "\n".join(lines) + "\n"
-
-
-def _fingerprint(m):
-    h = hashlib.sha256()
-    h.update(repr(m.shape).encode())
-    h.update(np.ascontiguousarray(m).tobytes())
-    return h.hexdigest()
-
-
-def _balance(m):
-    """Diagonal similarity scaling by powers of 2 (norm equalization)."""
-    a = m.copy()
-    n = a.shape[0]
-    d = np.ones(n)
-    for _ in range(10):
-        converged = True
-        for i in range(n):
-            r = np.sum(np.abs(a[i, :])) - abs(a[i, i])
-            c = np.sum(np.abs(a[:, i])) - abs(a[i, i])
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c > r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if f != 1.0:
-                converged = False
-                d[i] *= f
-                a[i, :] /= f
-                a[:, i] *= f
-        if converged:
-            break
-    return a, d
 
 
 def _hessenberg(a):
@@ -238,7 +200,7 @@ def _triangular_eigenvectors(t, q):
     return vecs
 
 
-def eigenvalues(m, engine="qr", compute_vectors=False, balance=False,
+def eigenvalues(m, engine="qr", compute_vectors=False,
                 max_iter_factor=MAX_ITER_FACTOR):
     """All eigenvalues of a square complex matrix, as a SpectrumResult.
 
@@ -247,8 +209,6 @@ def eigenvalues(m, engine="qr", compute_vectors=False, balance=False,
     m : array_like, square, finite entries
     engine : "qr" (in-house reference) or "numpy" (platform adapter)
     compute_vectors : compute eigenvectors and per-pair residuals
-    balance : apply diagonal balancing before solving (off by default:
-        quantization matrices arrive well scaled)
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -257,38 +217,26 @@ def eigenvalues(m, engine="qr", compute_vectors=False, balance=False,
         raise ConfigError("matrix must have dimension >= 1")
     if not np.all(np.isfinite(a.view(float))):
         raise DomainError("matrix has non-finite entries")
-    fingerprint = _fingerprint(a)
+    fingerprint = matrix_fingerprint(a)
     norm = np.linalg.norm(a, ord="fro")
     if norm == 0.0:
         lams = np.zeros(a.shape[0], dtype=complex)
         return _assemble(lams, np.zeros(a.shape[0]), fingerprint, engine)
 
-    work = a
-    dscale = None
-    if balance:
-        work, dscale = _balance(a)
-
     if engine == "numpy":
-        lams, vecs = np.linalg.eig(work)
-        if dscale is not None:
-            vecs = dscale[:, None] * vecs
-            vecs /= np.linalg.norm(vecs, axis=0)[None, :]
+        lams, vecs = np.linalg.eig(a)
         res = np.linalg.norm(a @ vecs - vecs * lams[None, :], axis=0) / norm
         return _assemble(lams, res, fingerprint, engine)
     if engine != "qr":
         raise ConfigError(f"unknown engine {engine!r}")
 
-    t, q = _schur(work, max_iter_factor=max_iter_factor)
+    t, q = _schur(a, max_iter_factor=max_iter_factor)
     lams = np.diag(t).copy()
     if compute_vectors:
         vecs = _triangular_eigenvectors(t, q)
-        if dscale is not None:
-            vecs = dscale[:, None] * vecs
-            vecs /= np.linalg.norm(vecs, axis=0)[None, :]
         res = np.linalg.norm(a @ vecs - vecs * lams[None, :], axis=0) / norm
     else:
-        backward = np.linalg.norm(q @ t @ q.conj().T - work, ord="fro") \
-            / max(np.linalg.norm(work, ord="fro"), np.finfo(float).tiny)
+        backward = np.linalg.norm(q @ t @ q.conj().T - a, ord="fro") / norm
         res = np.full(a.shape[0], backward)
     return _assemble(lams, res, fingerprint, engine)
 

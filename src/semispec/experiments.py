@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .grammar import parse_circle, parse_plane
 from .symbols import EpsilonPolicy, pt_symmetry_check, pullback_action_angle
 
 INTERIOR_FRACTION = 0.8  # truncation corrupts edge eigenvalues
+MODES = ("averaged_first_order", "principal_exact")
 
 FIGURE_SYMBOLS = {
     "figure01": ("circle", "I + i*epsilon*(cos(theta) + I^2)", None),
@@ -141,24 +143,29 @@ def _provenance(cfg):
     }
 
 
+# Stage functions.  Every entry point (run_experiment, pt_verify,
+# reproduce_figures and the CLI subcommands) is assembled from these.  They
+# look up the names they call as module globals at call time, so swapping
+# such a name on this module (say, for a tracing wrapper) reaches them all.
+
 def build_symbol(cfg: ExperimentConfig):
-    eps = cfg.epsilon_value()
     if cfg.model == "circle":
-        return parse_circle(cfg.symbol), eps
-    return parse_plane(cfg.symbol, epsilon=eps), eps
+        return parse_circle(cfg.symbol)
+    return parse_plane(cfg.symbol, epsilon=cfg.epsilon_value())
 
 
 def build_operator(cfg: ExperimentConfig):
-    sym, eps = build_symbol(cfg)
+    """Parse the symbol once and quantize it: returns (sym, op)."""
+    sym = build_symbol(cfg)
     h = cfg.hbar_value()
     if cfg.model == "circle":
-        return sym, quantize_circle(sym, eps, h, cfg.N)
+        return sym, quantize_circle(sym, cfg.epsilon_value(), h, cfg.N)
     return sym, quantize_plane(sym, h, cfg.N)
 
 
 def build_action_map(cfg: ExperimentConfig, sym=None):
     if sym is None:
-        sym, _ = build_symbol(cfg)
+        sym = build_symbol(cfg)
     if cfg.model == "circle":
         return ActionMap(sym.cylinder_map(cfg.epsilon_value()))
     return ActionMap(pullback_action_angle(sym))
@@ -184,6 +191,24 @@ def prediction_rule(cfg: ExperimentConfig):
     if cfg.model == "line" and cfg.maslov:
         return "line_maslov"
     return "circle_k"
+
+
+def predict_modes(cfg: ExperimentConfig, am: ActionMap, rect: Rectangle):
+    """Both prediction families inside ``rect``: {mode: QuantizationPrediction}."""
+    rule = prediction_rule(cfg)
+    return {mode: predict_spectrum(am, cfg.hbar_value(), rule, mode, rect,
+                                   floquet_offset=cfg.floquet_offset)
+            for mode in MODES}
+
+
+def conjugation_defect(op):
+    """PT conjugation defect ||D conj(M) D - M||_F / ||M||_F of a Fock
+    matrix M, with D = diag((-1)^alpha)."""
+    dpar = parity_matrix(op.dimension)
+    m = op.matrix
+    defect = np.linalg.norm(dpar @ m.conj() @ dpar - m, ord="fro") \
+        / max(np.linalg.norm(m, ord="fro"), np.finfo(float).tiny)
+    return float(defect)
 
 
 @dataclass(frozen=True)
@@ -223,18 +248,15 @@ class ExperimentResult:
         return self.reports["principal_exact"]
 
 
+@contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, SemispecError) \
-                    and not isinstance(exc, (PipelineError, ConfigError)):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Re-raise a numeric failure inside the block as PipelineError(name)."""
+    try:
+        yield
+    except (PipelineError, ConfigError):
+        raise
+    except SemispecError as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def run_experiment(cfg: ExperimentConfig, write=True):
@@ -245,26 +267,15 @@ def run_experiment(cfg: ExperimentConfig, write=True):
     """
     if cfg.N < 8:
         raise ConfigError("comparisons need N >= 8")
-    with _stage("parse"):
-        sym, eps = build_symbol(cfg)
-        h = cfg.hbar_value()
-        window = cfg.window_value()
+    window = cfg.window_value()
     with _stage("quantize"):
-        if cfg.model == "circle":
-            op = quantize_circle(sym, eps, h, cfg.N)
-        else:
-            op = quantize_plane(sym, h, cfg.N)
+        sym, op = build_operator(cfg)
     with _stage("spectrum"):
         spec = eigenvalues_of(op)
     with _stage("predict"):
         am = build_action_map(cfg, sym)
         rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
-        rule = prediction_rule(cfg)
-        predictions = {
-            mode: predict_spectrum(am, h, rule, mode, rect,
-                                   floquet_offset=cfg.floquet_offset)
-            for mode in ("averaged_first_order", "principal_exact")
-        }
+        predictions = predict_modes(cfg, am, rect)
     with _stage("compare"):
         in_window = [z for z in spec.eigenvalues
                      if window[0] <= z.real <= window[1] and rect.contains(z)]
@@ -273,18 +284,14 @@ def run_experiment(cfg: ExperimentConfig, write=True):
         for mode, pred in predictions.items():
             pairs = pair_spectra(in_window, pred.points, method=cfg.pairing)
             summary = summarize_pairs(pairs, pred.points, in_window)
-            reports[mode] = ComparisonReport(rule=rule, mode=mode,
+            reports[mode] = ComparisonReport(rule=pred.rule, mode=mode,
                                              pairs=tuple(pairs),
                                              summary=summary,
                                              provenance=prov)
         pt = None
         if cfg.model == "line":
-            dpar = parity_matrix(op.dimension)
-            m = op.matrix
-            defect = np.linalg.norm(dpar @ m.conj() @ dpar - m, ord="fro") \
-                / max(np.linalg.norm(m, ord="fro"), np.finfo(float).tiny)
             pt = {"symbol_symmetric": pt_symmetry_check(sym),
-                  "conjugation_defect": float(defect)}
+                  "conjugation_defect": conjugation_defect(op)}
     result = ExperimentResult(config=cfg, rect=rect, spectrum=spec,
                               predictions=predictions, reports=reports, pt=pt)
     if write and cfg.out is not None:
@@ -309,7 +316,7 @@ def result_report_dict(result: ExperimentResult):
             "rule": prediction_rule(cfg),
             "floquet_offset": cfg.floquet_offset,
         },
-        "provenance": _provenance(cfg),
+        "provenance": result.principal_report.provenance,
         "pt": result.pt,
         "comparisons": {mode: rep.to_json_dict()
                         for mode, rep in result.reports.items()},
@@ -397,19 +404,13 @@ def pt_verify(cfg: ExperimentConfig, write=True):
     of the interior eigenvalues."""
     if cfg.model != "line":
         raise ConfigError("pt-verify applies to the line model")
-    sym, _ = build_symbol(cfg)
-    flag = pt_symmetry_check(sym)
-    _, op = build_operator(cfg)
-    dpar = parity_matrix(op.dimension)
-    m = op.matrix
-    defect = np.linalg.norm(dpar @ m.conj() @ dpar - m, ord="fro") \
-        / max(np.linalg.norm(m, ord="fro"), np.finfo(float).tiny)
+    sym, op = build_operator(cfg)
     spec = eigenvalues_of(op)
     lo, hi = cfg.window_value()
     inside = [z for z in spec.eigenvalues if lo <= z.real <= hi]
     max_imag = max((abs(z.imag) for z in inside), default=0.0)
-    report = PTReport(symbol_symmetric=bool(flag),
-                      conjugation_defect=float(defect),
+    report = PTReport(symbol_symmetric=bool(pt_symmetry_check(sym)),
+                      conjugation_defect=conjugation_defect(op),
                       max_abs_imag_in_window=float(max_imag),
                       count_in_window=len(inside))
     if write and cfg.out is not None:

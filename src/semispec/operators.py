@@ -25,6 +25,15 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 
+def matrix_fingerprint(m):
+    """sha256 of a matrix's shape and raw bytes: the one matrix identity
+    used by TruncatedOperator and by SpectrumResult.source_fingerprint."""
+    h = hashlib.sha256()
+    h.update(repr(m.shape).encode())
+    h.update(np.ascontiguousarray(m).tobytes())
+    return h.hexdigest()
+
+
 @dataclass(frozen=True)
 class Basis:
     kind: str  # "fourier" or "fock"
@@ -75,10 +84,7 @@ class TruncatedOperator:
         return self.matrix.shape[0]
 
     def matrix_fingerprint(self):
-        h = hashlib.sha256()
-        h.update(repr(self.matrix.shape).encode())
-        h.update(np.ascontiguousarray(self.matrix).tobytes())
-        return h.hexdigest()
+        return matrix_fingerprint(self.matrix)
 
     def to_json_dict(self):
         rows = [
@@ -115,7 +121,13 @@ class TruncatedOperator:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
+        """Parse the JSON format above; malformed text raises ConfigError."""
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except KeyError as exc:
+            raise ConfigError(f"operator JSON lacks key {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"malformed operator JSON: {exc}") from exc
 
     def to_csv(self):
         lines = []

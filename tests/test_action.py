@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from semispec import (ActionMap, CircleSymbol, ConfigError, CriticalLevelError,
-                      PlaneSymbol, Rectangle, action_integral, invert_action,
-                      predict_spectrum, pullback_action_angle, solve_level_set)
+                      PlaneSymbol, Rectangle, predict_spectrum,
+                      pullback_action_angle)
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}
 
@@ -35,25 +35,25 @@ SECTION4_MAPS = {
 class TestLevelSet:
     def test_theta_independent_level(self):
         am = fig1_map(0.0)
-        loop = solve_level_set(am, 0.7)
+        loop = am.solve_level_set(0.7)
         assert np.abs(loop - 0.7).max() <= 1e-13
 
     def test_closed_form_cos_level(self):
         # oracle: I + i*eps*cos(theta) = E solves to I = E - i*eps*cos(theta)
         am = circle_map((0.0, 1.0), COS, 0.1)
-        loop = solve_level_set(am, 0.7)
+        loop = am.solve_level_set(0.7)
         oracle = 0.7 - 0.1j * np.cos(am.thetas())
         assert np.abs(loop - oracle).max() <= 1e-11
 
     def test_harmonic_level(self):
         am = oscillator_map({}, 0.0)
-        loop = solve_level_set(am, 1.0)
+        loop = am.solve_level_set(1.0)
         assert np.abs(loop - 0.5).max() <= 1e-13
 
     def test_residuals_within_tolerance(self):
         am = fig1_map(0.15)
         E = 0.6 + 0.02j
-        loop = solve_level_set(am, E)
+        loop = am.solve_level_set(E)
         vals = np.array([complex(am.cyl.value(t, I))
                          for t, I in zip(am.thetas(), loop)])
         assert np.abs(vals - E).max() <= 1e-12 * (1 + abs(E))
@@ -61,23 +61,23 @@ class TestLevelSet:
     def test_near_critical_level_error(self):
         am = circle_map((0.0, 0.0, 1.0), {}, 0.0)  # f = I^2, critical at I=0
         with pytest.raises(CriticalLevelError):
-            solve_level_set(am, 1e-22)
+            am.solve_level_set(1e-22)
 
 
 class TestActionIntegral:
     def test_linear_f(self):
-        assert action_integral(fig1_map(0.0), 0.7) == pytest.approx(0.7)
+        assert fig1_map(0.0).action_integral(0.7) == pytest.approx(0.7)
 
     def test_linear_f_slope_two(self):
         am = circle_map((0.0, 2.0), {**COS, (0, 2): 1.0}, 0.0)
-        assert abs(action_integral(am, 0.7) - 0.35) <= 1e-12
+        assert abs(am.action_integral(0.7) - 0.35) <= 1e-12
 
     def test_cos_term_averages_out(self):
         am = circle_map((0.0, 1.0), COS, 0.1)
-        assert abs(action_integral(am, 0.7) - 0.7) <= 1e-12
+        assert abs(am.action_integral(0.7) - 0.7) <= 1e-12
 
     def test_disc_area_action(self):
-        assert action_integral(oscillator_map({}, 0.0), 1.0) \
+        assert oscillator_map({}, 0.0).action_integral(1.0) \
             == pytest.approx(0.5)
 
     def test_quadrature_convergence_all_section4_symbols(self):
@@ -88,39 +88,55 @@ class TestActionIntegral:
                 fine_map = factory(eps)
                 fine_map.num_nodes = 512
                 E = 0.5 if name.startswith("cos") else 1.0
-                a = action_integral(coarse, E)
-                b = action_integral(fine_map, E)
+                a = coarse.action_integral(E)
+                b = fine_map.action_integral(E)
                 assert abs(a - b) <= 1e-11, (name, eps)
+
+
+    def test_independent_of_call_history(self):
+        # f = I^3 - I has three real roots near E = 0.1: the seed of a
+        # query must come from the query alone, not from earlier queries
+        def cubic_map():
+            return circle_map((0.0, -1.0, 0.0, 1.0), COS, 0.05)
+
+        fresh, used = cubic_map(), cubic_map()
+        used.action_integral(2.0)
+        for E in (0.1, 0.1 + 0.01j, -0.3):
+            assert used.action_integral(E) == fresh.action_integral(E)
+        assert abs(fresh.action_integral(0.1) + 0.1006) <= 1e-4
+        used.invert_action(-1.1)
+        for I in (1.1, 0.05):
+            assert used.invert_action(I) == fresh.invert_action(I)
 
 
 class TestInversion:
     def test_identity_at_eps_zero(self):
-        assert invert_action(fig1_map(0.0), 0.5) == pytest.approx(0.5)
+        assert fig1_map(0.0).invert_action(0.5) == pytest.approx(0.5)
 
     def test_line_inverse_is_doubling(self):
-        assert invert_action(oscillator_map({}, 0.0), 0.5) == pytest.approx(1.0)
+        assert oscillator_map({}, 0.0).invert_action(0.5) == pytest.approx(1.0)
 
     def test_first_order_shift(self):
         # perturbation oracle: g(I) ~ I + i*eps*qbar(I); the Newton value
         # must agree within O(eps^2)
-        g = invert_action(fig1_map(0.1), 0.5)
+        g = fig1_map(0.1).invert_action(0.5)
         assert abs(g - (0.5 + 0.025j)) <= 0.01
 
     def test_inverse_consistency(self, rng):
         am = fig1_map(0.12)
         for I in rng.uniform(0.2, 0.7, size=10):
-            E = invert_action(am, I)
-            assert abs(action_integral(am, E) - I) <= 1e-10
+            E = am.invert_action(I)
+            assert abs(am.action_integral(E) - I) <= 1e-10
         for e_re in rng.uniform(0.2, 0.7, size=10):
             E = complex(e_re, 0.01 * e_re)
-            I = action_integral(am, E)
-            assert abs(invert_action(am, I) - E) <= 1e-10
+            I = am.action_integral(E)
+            assert abs(am.invert_action(I) - E) <= 1e-10
 
     def test_derivative_matches_finite_differences(self):
         am = fig1_map(0.1)
         E = 0.55 + 0.03j
         step = 1e-5
-        fd = (action_integral(am, E + step) - action_integral(am, E - step)) \
+        fd = (am.action_integral(E + step) - am.action_integral(E - step)) \
             / (2 * step)
         d = am.action_derivative(E)
         assert abs(d - fd) <= 1e-6 * abs(d)
@@ -136,14 +152,14 @@ class TestInversion:
             for eps in eps_values:
                 am = factory(eps)
                 avg = am.averaged_value(I)
-                gaps.append(abs(invert_action(am, I) - avg))
+                gaps.append(abs(am.invert_action(I) - avg))
             slope = np.polyfit(np.log(eps_values), np.log(gaps), 1)[0]
             assert slope >= 1.9
 
     def test_reality_at_eps_zero(self, rng):
         am = fig1_map(0.0)
         for I in rng.uniform(0.1, 0.8, size=8):
-            assert abs(invert_action(am, I).imag) <= 1e-12
+            assert abs(am.invert_action(I).imag) <= 1e-12
 
 
 class TestPredictions:
@@ -181,7 +197,7 @@ class TestPredictions:
         shifted = predict_spectrum(am, hbar, "circle_k", "principal_exact",
                                    rect, floquet_offset=0.02)
         for k, lam in shifted.points:
-            assert abs(lam - invert_action(am, hbar * k - 0.02)) <= 1e-10
+            assert abs(lam - am.invert_action(hbar * k - 0.02)) <= 1e-10
 
     def test_prediction_serialization(self):
         am = fig1_map(0.0)
@@ -233,4 +249,4 @@ class TestOscillatorChart:
         am = oscillator_map({(2, 0): 1.0}, eps)
         root = np.sqrt(1 + 1j * eps)
         for I in (0.2, 0.5, 0.9):
-            assert abs(invert_action(am, I) - 2 * root * I) <= 1e-11
+            assert abs(am.invert_action(I) - 2 * root * I) <= 1e-11

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from semispec.cli import main
 
@@ -113,6 +114,28 @@ class TestExitCodes:
         assert run(["compare", "--model", "circle", "--symbol", "I",
                     "--N", "12", "--window=-2,2",
                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
+         "--rect=a,b,c,d", "--out", "{tmp}"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
+         "--window=a,b", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/not_json.txt", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/no_basis.json", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/bad_rows.json", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/missing.json", "--out", "{tmp}"],
+        ["compare", "--config", "{tmp}/missing.cfg"],
+    ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
+            "matrix-bad-rows", "matrix-missing", "config-missing"])
+    def test_malformed_input_is_2(self, tmp_path, capsys, argv):
+        (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
+        (tmp_path / "no_basis.json").write_text(
+            '{"N": 0, "hbar": 1.0, "rows": [[1.0, 0.0]]}\n')
+        (tmp_path / "bad_rows.json").write_text(
+            '{"basis": "fock", "N": 0, "hbar": 1.0, "rows": [["a", 0]]}\n')
+        code = run([a.format(tmp=tmp_path) for a in argv])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_numeric_failure_is_3(self, tmp_path, capsys):
         # f = I^2 is critical at the center of this window: the level-set

@@ -1,9 +1,9 @@
 """Complex action integrals and their Bohr-Sommerfeld inverses.
 
 For a cylinder symbol p(theta, I) and a complex energy E near the
-working window, the level set {p = E} is a graph I = l(theta, E) solved
-node by node with complex Newton continuation around the circle.  The
-action of the level loop is the trapezoid mean of the samples (spectral
+working window, the level set {p = E} is a graph I = l(theta, E),
+sampled at M equispaced nodes theta_j (M = 256 by default).  The action
+of the level loop is the trapezoid mean of the samples (spectral
 accuracy for periodic analytic integrands),
 
     action(E) = (1/M) * sum_j l(theta_j, E),
@@ -12,10 +12,27 @@ and its derivative follows from implicit differentiation,
 
     d action / dE = (1/M) * sum_j 1 / (dp/dI)(theta_j, l_j).
 
+Grid solve.  The loops of a batch of energies come from one vectorized
+complex Newton on the whole (nodes x energies) grid.  A fresh solve
+starts every node from the energy's real seed, the real root of the
+unperturbed part; inside an inversion each step starts from the
+previous step's loops.
+
+Branch check.  On a smooth periodic loop the Fourier coefficients decay
+exponentially, so those at |k| >= M/4 sit at rounding level and bound
+the trapezoid error (Trefethen & Weideman, SIAM Review 56, 2014); a node
+that converged to another root of p = E adds about |jump|/M at every
+frequency.  An energy whose grid Newton fails, or whose tail exceeds the
+closure tolerance 1e-10 * (1 + max|I|), falls back to node-to-node
+continuation from its node-0 start, whose wrap-around step back to
+theta = 2*pi must land on node 0 within that same tolerance.
+
 Inverting E -> action(E) by Newton yields the eigenvalue generator g:
 predicted spectra are g(hbar*k) on the circle and g(hbar*(k + 1/2)) on
 the line, where the half-integer shift accounts for the turning points
-of closed orbits on the real line.
+of closed orbits on the real line.  Targets are inverted in blocks of
+GRID_BLOCK, which bounds the grid's working memory; a target's result
+does not depend on the other targets, up to rounding in the sums.
 """
 
 from __future__ import annotations
@@ -35,6 +52,7 @@ JACOBIAN_FLOOR = 1e-10
 DERIVATIVE_FLOOR = 1e-10
 LOOP_CLOSURE_TOL = 1e-10
 INVERSION_TOL = 1e-11
+GRID_BLOCK = 16  # energies per grid solve: bounds its working memory
 
 
 @dataclass(frozen=True)
@@ -151,20 +169,44 @@ class ActionMap:
             f"level-set Newton did not converge in {self.newton_max_iter} "
             "iterations")
 
-    def _solve_levels(self, energies, near=None):
-        """Sampled loops I(theta_j) for a batch of energies.
+    def _newton_grid(self, start, energies):
+        """Complex Newton for p(theta_j, I) = E_i on every node and energy
+        at once.  Returns the grid and, per energy, whether every node
+        converged with |dp/dI| above the floor; failures do not raise."""
+        thetas = self.thetas()[:, None]
+        I = np.array(start, dtype=complex, copy=True)
+        tol = self.newton_tol * (1.0 + np.abs(energies))
+        with np.errstate(all="ignore"):
+            for _ in range(self.newton_max_iter):
+                r = self.cyl.value(thetas, I) - energies
+                done = np.abs(r) <= tol
+                if np.all(done):
+                    break
+                I = np.where(done, I, I - r / self.cyl.d_dI(thetas, I))
+            d = self.cyl.d_dI(thetas, I)
+        ok = np.all(done, axis=0) & np.all(np.abs(d) >= JACOBIAN_FLOOR, axis=0)
+        return I, ok
 
-        Returns an array of shape (num_nodes, len(energies)); node 0 is
-        seeded from the real inverse of the unperturbed part (the real
-        root nearest ``near[i]`` for energy i, or the smallest in modulus
-        without ``near``) and the following nodes by continuation; a final
-        wrap-around step back to theta = 2*pi must land on node 0 again.
-        """
-        energies = np.atleast_1d(np.asarray(energies, dtype=complex))
-        if near is None:
-            near = [None] * energies.size
-        seeds = np.array([self.cyl.seed_action(e.real, near=n)
-                          for e, n in zip(energies, near)], dtype=complex)
+    @staticmethod
+    def _loop_tol(levels):
+        """Closure and branch tolerance of each loop, scaled by its size."""
+        return LOOP_CLOSURE_TOL * (1.0 + np.abs(levels).max(axis=0))
+
+    def _fourier_tail(self, levels):
+        """Largest Fourier coefficient of each loop at |k| >= num_nodes/4.
+
+        For a smooth periodic loop it bounds the trapezoid error and sits
+        at rounding level; a node on another branch adds about
+        |jump| / num_nodes at every frequency."""
+        coeffs = np.fft.fft(levels, axis=0) / self.num_nodes
+        k = np.abs(np.fft.fftfreq(self.num_nodes, 1.0 / self.num_nodes))
+        return np.abs(coeffs[k >= self.num_nodes // 4]).max(axis=0)
+
+    def _continue_levels(self, energies, seeds):
+        """Loops by node-to-node continuation, all energies in lockstep:
+        node 0 starts from ``seeds``, each later node from its
+        predecessor, and a final wrap-around step back to theta = 2*pi
+        must land on node 0 again."""
         out = np.empty((self.num_nodes, energies.size), dtype=complex)
         cur = self._newton_nodes(0.0, seeds, energies)
         out[0] = cur
@@ -174,10 +216,38 @@ class ActionMap:
             out[j] = cur
         wrap = self._newton_nodes(2.0 * np.pi, cur, energies)
         gap = np.abs(wrap - out[0])
-        if np.any(gap > LOOP_CLOSURE_TOL):
+        if np.any(gap > self._loop_tol(out)):
             raise LevelSetError(
                 f"level loop does not close: max |I_M - I_0| = {gap.max():.3e}")
         return out
+
+    def _solve_levels(self, energies, near=None, start=None):
+        """Sampled loops I(theta_j) for a batch of energies.
+
+        Returns an array of shape (num_nodes, len(energies)).  One Newton
+        solve covers the whole grid.  It starts from ``start`` (a previous
+        grid of the same shape) or else, at every node, from the energy's
+        real seed: the real root of the unperturbed part nearest
+        ``near[i]`` (smallest in modulus for None).  An energy whose grid
+        Newton fails, or whose loop has a Fourier tail above the closure
+        tolerance (a node left the branch of node 0), is solved again by
+        continuation from its node-0 start, which keeps the closure check.
+        """
+        energies = np.atleast_1d(np.asarray(energies, dtype=complex))
+        if start is None:
+            if near is None:
+                near = [None] * energies.size
+            seeds = [self.cyl.seed_action(e.real, near=n)
+                     for e, n in zip(energies, near)]
+            start = np.broadcast_to(np.asarray(seeds, dtype=complex),
+                                    (self.num_nodes, energies.size))
+        levels, ok = self._newton_grid(start, energies)
+        ok &= self._fourier_tail(levels) <= self._loop_tol(levels)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            levels[:, bad] = self._continue_levels(energies[bad],
+                                                   start[0, bad])
+        return levels
 
     def solve_level_set(self, E):
         """Sampled loop {I(theta_j)} for one energy, as a 1-D array."""
@@ -199,16 +269,23 @@ class ActionMap:
     # -- inversion ----------------------------------------------------
 
     def _invert_batch(self, targets):
+        """g at every target, in blocks of GRID_BLOCK targets."""
         targets = np.atleast_1d(np.asarray(targets, dtype=complex))
+        return np.concatenate([self._invert_block(targets[i:i + GRID_BLOCK])
+                               for i in range(0, targets.size, GRID_BLOCK)])
+
+    def _invert_block(self, targets):
+        """Newton on E -> action(E) for a block of targets.  The first
+        step seeds the loops at the real inverse nearest the target; each
+        later step starts from the previous step's loops, and the loops at
+        the last E serve the final miss check."""
         E = np.asarray(self.cyl.f_action(targets), dtype=complex).copy()
-        near = targets.real
-        done = np.zeros(targets.shape, dtype=bool)
-        for _ in range(self.newton_max_iter):
-            levels = self._solve_levels(E, near)
-            act = levels.mean(axis=0)
-            r = act - targets
+        levels = None
+        for step in range(self.newton_max_iter + 1):
+            levels = self._solve_levels(E, targets.real, start=levels)
+            r = levels.mean(axis=0) - targets
             done = np.abs(r) <= self.newton_tol
-            if np.all(done):
+            if np.all(done) or step == self.newton_max_iter:
                 break
             d = self._d_action(levels)
             small = ~done & (np.abs(d) < DERIVATIVE_FLOOR)
@@ -216,8 +293,7 @@ class ActionMap:
                 raise DegeneracyError(
                     "|d action/dE| below 1e-10: action map degenerate here")
             E = np.where(done, E, E - r / d)
-        final = self._solve_levels(E, near).mean(axis=0)
-        err = np.abs(final - targets)
+        err = np.abs(r)
         if np.any(err > INVERSION_TOL):
             raise InversionError(
                 f"action inversion missed target by {err.max():.3e}")

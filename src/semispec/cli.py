@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericError
 from .experiments import (ExperimentConfig, build_action_map, build_operator,
                           default_rect, eigenvalues_of, predict_modes,
                           pt_verify, reproduce_figures, run_experiment,
-                          _write_text)
+                          _stage, _write_text)
 from .operators import TruncatedOperator
 
 
@@ -169,7 +169,8 @@ def _out_dir(out):
 
 def _cmd_quantize(args):
     cfg = _experiment_config(args)
-    _, op = build_operator(cfg)
+    with _stage("quantize"):
+        _, op = build_operator(cfg)
     out = _out_dir(cfg.out)
     _write_text(out / "operator.json",
                 json.dumps(op.to_json_dict(), sort_keys=True) + "\n")
@@ -184,9 +185,11 @@ def _cmd_spectrum(args):
         out = _out_dir(args.out)
     else:
         cfg = _experiment_config(args)
-        _, op = build_operator(cfg)
+        with _stage("quantize"):
+            _, op = build_operator(cfg)
         out = _out_dir(cfg.out)
-    spec = eigenvalues_of(op)
+    with _stage("spectrum"):
+        spec = eigenvalues_of(op)
     _write_text(out / "spectrum.csv", spec.to_csv())
     print(f"wrote {out / 'spectrum.csv'} ({len(spec.eigenvalues)} eigenvalues, "
           f"max residual {spec.tolerance:.3e})")
@@ -195,10 +198,12 @@ def _cmd_spectrum(args):
 
 def _cmd_predict(args):
     cfg = _experiment_config(args)
-    am = build_action_map(cfg)
-    rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
+    with _stage("predict"):
+        am = build_action_map(cfg)
+        rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
+        predictions = predict_modes(cfg, am, rect)
     out = _out_dir(cfg.out)
-    for mode, pred in predict_modes(cfg, am, rect).items():
+    for mode, pred in predictions.items():
         _write_text(out / f"predictions_{mode}.csv", pred.to_csv())
         _write_text(out / f"predictions_{mode}.json",
                     json.dumps(pred.to_json_dict(), sort_keys=True) + "\n")

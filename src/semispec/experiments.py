@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -75,8 +76,8 @@ class ExperimentConfig:
 
     def hbar_value(self):
         h = 1.0 / self.N if self.hbar is None else float(self.hbar)
-        if h <= 0:
-            raise ConfigError("hbar must be positive")
+        if not (math.isfinite(h) and h > 0):
+            raise ConfigError(f"hbar must be finite and positive, got {h!r}")
         return h
 
     def epsilon_policy(self):
@@ -404,8 +405,10 @@ def pt_verify(cfg: ExperimentConfig, write=True):
     of the interior eigenvalues."""
     if cfg.model != "line":
         raise ConfigError("pt-verify applies to the line model")
-    sym, op = build_operator(cfg)
-    spec = eigenvalues_of(op)
+    with _stage("quantize"):
+        sym, op = build_operator(cfg)
+    with _stage("spectrum"):
+        spec = eigenvalues_of(op)
     lo, hi = cfg.window_value()
     inside = [z for z in spec.eigenvalues if lo <= z.real <= hi]
     max_imag = max((abs(z.imag) for z in inside), default=0.0)

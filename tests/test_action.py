@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from semispec import (ActionMap, CircleSymbol, ConfigError, CriticalLevelError,
-                      PlaneSymbol, Rectangle, predict_spectrum,
-                      pullback_action_angle)
+                      ExperimentConfig, InversionError, PlaneSymbol, Rectangle,
+                      parse_circle, predict_spectrum, pullback_action_angle)
+from semispec.experiments import FIGURE_SYMBOLS, build_action_map, default_rect
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}
 
@@ -62,6 +63,75 @@ class TestLevelSet:
         am = circle_map((0.0, 0.0, 1.0), {}, 0.0)  # f = I^2, critical at I=0
         with pytest.raises(CriticalLevelError):
             am.solve_level_set(1e-22)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Energies of every continuation fallback, one array per call."""
+    calls = []
+    original = ActionMap._continue_levels
+
+    def recording(self, energies, seeds):
+        calls.append(energies.copy())
+        return original(self, energies, seeds)
+
+    monkeypatch.setattr(ActionMap, "_continue_levels", recording)
+    return calls
+
+
+class TestGridSolve:
+    @pytest.mark.parametrize("model,symbol", sorted(
+        {(model, symbol) for model, symbol, _ in FIGURE_SYMBOLS.values()}))
+    def test_grid_matches_continuation(self, model, symbol, fallbacks):
+        cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
+        am = build_action_map(cfg)
+        pred = predict_spectrum(am, cfg.hbar_value(), "circle_k",
+                                "averaged_first_order", default_rect(cfg, am))
+        energies = pred.values()
+        assert energies.size >= 20
+        grid = am._solve_levels(energies)
+        assert not fallbacks
+        seeds = np.array([am.cyl.seed_action(e.real) for e in energies],
+                         dtype=complex)
+        chain = am._continue_levels(energies, seeds)
+        assert np.abs(grid - chain).max() <= 1e-11
+
+    def test_branch_check_sends_one_energy_to_continuation(self, fallbacks):
+        # the far root of I + i*eps*(cos(theta) + I^2) = E sits near i/eps:
+        # nodes started there leave the branch of node 0 in one column only
+        am = fig1_map(0.1)
+        energies = np.array([0.3 + 0.01j, 0.45 + 0.02j, 0.6 + 0.03j])
+        start = am._solve_levels(energies)
+        fallbacks.clear()
+        start[100:140, 1] = 10j
+        levels = am._solve_levels(energies, start=start)
+        assert len(fallbacks) == 1
+        assert fallbacks[0].tolist() == [energies[1]]
+        chain = am._continue_levels(energies[1:2], start[0, 1:2])
+        assert np.array_equal(levels[:, 1], chain[:, 0])
+        assert np.abs(levels[:, [0, 2]] - start[:, [0, 2]]).max() <= 1e-12
+
+    def test_single_inversion_matches_batch(self):
+        am = fig1_map(0.12)
+        targets = np.linspace(0.1, 0.7, 41)
+        batch = am._invert_batch(targets)
+        for i in (0, 17, 40):
+            assert abs(am.invert_action(targets[i]) - batch[i]) <= 1e-12
+
+    def test_closure_tolerance_scales_with_loop_size(self):
+        # f = I^3 - I folds at I = 1/sqrt(3), next to the target 0.5: the
+        # inversion misses, and must say so, not fail the closure check of
+        # a loop with |I| ~ 400 whose wrap-around gap (1.25e-10) is
+        # rounding relative to its size
+        am = ActionMap(parse_circle("I^3 - I + i*epsilon*cos(theta)")
+                       .cylinder_map(0.05))
+        with pytest.raises(InversionError):
+            am.invert_action(0.5)
+        E = -64162567.75188988 - 3.48462792e-07j
+        seed = np.array([am.cyl.seed_action(E.real)], dtype=complex)
+        loop = am._continue_levels(np.array([E]), seed)[:, 0]
+        assert np.abs(loop).max() > 400
+        assert abs(am.action_integral(E) - loop.mean()) <= 1e-10
 
 
 class TestActionIntegral:

@@ -125,8 +125,13 @@ class TestExitCodes:
         ["spectrum", "--matrix", "{tmp}/bad_rows.json", "--out", "{tmp}"],
         ["spectrum", "--matrix", "{tmp}/missing.json", "--out", "{tmp}"],
         ["compare", "--config", "{tmp}/missing.cfg"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
+         "--hbar", "nan", "--out", "{tmp}"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
+         "--hbar", "inf", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
-            "matrix-bad-rows", "matrix-missing", "config-missing"])
+            "matrix-bad-rows", "matrix-missing", "config-missing",
+            "hbar-nan", "hbar-inf"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
         (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
         (tmp_path / "no_basis.json").write_text(
@@ -144,7 +149,20 @@ class TestExitCodes:
                     "--N", "12", "--rect=-0.1,0.1,-0.1,0.1",
                     "--out", str(tmp_path)])
         assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric failure" in err
+        assert "stage=predict" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["quantize", "spectrum", "pt-verify"])
+    def test_numeric_failure_names_stage(self, tmp_path, capsys, command):
+        # hbar = 1e300 overflows the Fock matrix entries
+        code = run([command, "--model", "line",
+                    "--symbol", "x^2 + xi^2 + i*epsilon*x^8", "--N", "5",
+                    "--hbar", "1e300", "--epsilon", "0.1",
+                    "--out", str(tmp_path)])
+        assert code == 3
+        assert "stage=quantize" in capsys.readouterr().err
 
     def test_pt_verify_cli(self, tmp_path, capsys):
         code = run(["pt-verify", "--model", "line",

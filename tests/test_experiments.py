@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import semispec
-
 from semispec import (ConfigError, ExperimentConfig, PipelineError,
                       pt_verify, reproduce_figures, run_experiment)
 from semispec.experiments import FIGURE_SYMBOLS, build_action_map, default_rect

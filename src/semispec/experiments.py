@@ -240,6 +240,7 @@ class ExperimentResult:
     config: ExperimentConfig
     rect: Rectangle
     spectrum: object
+    in_window: tuple  # eigenvalues in the window and the rect, as compared
     predictions: dict
     reports: dict  # mode -> ComparisonReport
     pt: dict | None
@@ -278,8 +279,9 @@ def run_experiment(cfg: ExperimentConfig, write=True):
         rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
         predictions = predict_modes(cfg, am, rect)
     with _stage("compare"):
-        in_window = [z for z in spec.eigenvalues
-                     if window[0] <= z.real <= window[1] and rect.contains(z)]
+        in_window = tuple(z for z in spec.eigenvalues
+                          if window[0] <= z.real <= window[1]
+                          and rect.contains(z))
         prov = _provenance(cfg)
         reports = {}
         for mode, pred in predictions.items():
@@ -294,7 +296,8 @@ def run_experiment(cfg: ExperimentConfig, write=True):
             pt = {"symbol_symmetric": pt_symmetry_check(sym),
                   "conjugation_defect": conjugation_defect(op)}
     result = ExperimentResult(config=cfg, rect=rect, spectrum=spec,
-                              predictions=predictions, reports=reports, pt=pt)
+                              in_window=in_window, predictions=predictions,
+                              reports=reports, pt=pt)
     if write and cfg.out is not None:
         with _stage("write"):
             write_result(result)

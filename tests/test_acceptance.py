@@ -30,10 +30,7 @@ def report(num, ok, detail):
 
 def interior_max_dist(res):
     pred = res.predictions["principal_exact"].values()
-    lo, hi = res.config.window_value()
-    comp = [z for z in res.spectrum.eigenvalues
-            if lo <= z.real <= hi and res.rect.contains(z)]
-    return max(np.abs(pred - c).min() for c in comp)
+    return max(np.abs(pred - c).min() for c in res.in_window)
 
 
 def test_criterion_1_exact_baselines():

@@ -1,8 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from semispec import (ConfigError, DomainError, SolverError, eigenvalues,
-                      eigenvalues_of, quantize_plane, PlaneSymbol)
+import semispec
+from semispec import (ConfigError, DomainError, SolverError, eig,
+                      eigenvalues, eigenvalues_of, quantize_plane, PlaneSymbol)
+from semispec.experiments import ExperimentConfig, build_operator
+
+U = np.finfo(float).eps
+FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
 
 
 def charpoly_leverrier(m):
@@ -33,6 +43,14 @@ def hausdorff(a, b):
 
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def condition_numbers(m):
+    """Eigenvalues and kappa_j = ||y_j|| ||x_j|| / |y_j^H x_j|, with the
+    left eigenvectors taken as the rows of the inverse eigenvector matrix."""
+    vals, right = np.linalg.eig(m)
+    left = np.linalg.inv(right)
+    return vals, np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)
 
 
 class TestExamples:
@@ -151,6 +169,14 @@ class TestErrors:
         with pytest.raises(DomainError):
             eigenvalues(m)
 
+    def test_shift_budget_exhaustion(self, rng):
+        # this matrix needs 226 shifts in 136 sweeps: a budget of 180
+        # fails only when a multishift sweep counts each of its shifts
+        m = random_complex(rng, 60)
+        with pytest.raises(SolverError, match="within 180 shifts") as exc:
+            eigenvalues(m, max_iter_factor=3)
+        assert exc.value.partial.shape == (60, 60)
+
     def test_nonconvergence_carries_partial_form(self, rng):
         m = random_complex(rng, 12)
         with pytest.raises(SolverError) as exc:
@@ -172,3 +198,115 @@ class TestOperatorEntry:
         expected = 0.25 * (2 * np.arange(9) + 1)
         assert np.abs(np.array(res.eigenvalues) - expected).max() <= 1e-13
         assert res.source_fingerprint == op.matrix_fingerprint()
+
+
+class TestMultishift:
+    """Windows above eig.MULTISHIFT_MIN rows take multishift sweeps."""
+
+    @staticmethod
+    def check_schur(a):
+        n = a.shape[0]
+        t, q = eig._schur(a)
+        norm = np.linalg.norm(a)
+        assert np.linalg.norm(q @ t @ q.conj().T - a) / norm <= 10 * n * U
+        assert not np.tril(t, -1).any()
+        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 10 * n * U
+        return t
+
+    def test_hessenberg_leaves_tridiagonal_alone(self):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
+        m = build_operator(cfg)[1].matrix
+        h, qt = eig._hessenberg(m)
+        assert np.array_equal(h, m)
+        assert np.array_equal(qt, np.eye(m.shape[0]))
+
+    @pytest.mark.parametrize("n", [60, 120, 200])
+    def test_random_schur_form(self, rng, n):
+        self.check_schur(random_complex(rng, n))
+
+    def test_hermitian_real_spectrum(self, rng):
+        m = random_complex(rng, 100)
+        h = (m + m.conj().T) / 2
+        self.check_schur(h)
+        lams = np.array(eigenvalues(h).eigenvalues)
+        assert np.abs(lams.imag).max() <= 1e-12 * np.linalg.norm(h)
+
+    def test_exact_zero_subdiagonal_mid_window(self, rng):
+        n = 120
+        m = np.triu(random_complex(rng, n), -1)
+        m[n // 2, n // 2 - 1] = 0.0
+        t = self.check_schur(m)
+        # the two diagonal blocks keep their own spectra
+        top = np.linalg.eigvals(m[:n // 2, :n // 2])
+        assert hausdorff(np.diag(t)[:n // 2], top) <= 1e-8 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("n", [60, 120, 200])
+    def test_agrees_with_numpy_engine(self, rng, n):
+        m = random_complex(rng, n)
+        mine = eigenvalues(m)
+        ref = eigenvalues(m, engine="numpy")
+        ref_vals = np.array(ref.eigenvalues)
+        kappa_vals, kappa = condition_numbers(m)
+        norm = np.linalg.norm(m)
+        for z in mine.eigenvalues:
+            j = int(np.argmin(np.abs(ref_vals - z)))
+            kap = kappa[int(np.argmin(np.abs(kappa_vals - ref_vals[j])))]
+            tol = 10 * kap * (mine.tolerance + ref.residuals[j] + U) * norm
+            assert abs(ref_vals[j] - z) <= tol
+
+    def test_figure_matrix_takes_multishift_path(self, monkeypatch):
+        calls = []
+        sweep = eig._multishift_sweep
+
+        def counting(h, qt, lo, hi, shifts, work):
+            calls.append(len(shifts))
+            return sweep(h, qt, lo, hi, shifts, work)
+
+        monkeypatch.setattr(eig, "_multishift_sweep", counting)
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
+        _, op = build_operator(cfg)
+        res = eigenvalues_of(op)
+        assert calls and max(calls) == 133 // eig.ROWS_PER_SHIFT
+        assert res.tolerance <= 10 * 133 * U
+
+    @pytest.mark.parametrize("step", [9, 13])
+    def test_batched_step_equals_one_by_one(self, rng, step):
+        n, ns = 40, 4
+        h = np.triu(random_complex(rng, n), -1)
+        qt = np.eye(n, dtype=complex)
+        shifts = rng.standard_normal(ns) + 1j * rng.standard_normal(ns)
+        work = np.empty((2, ns * n), dtype=complex)
+        steps = list(eig._chain_steps(0, n - 1, ns))
+        for pmin, pmax, entering in steps[:step]:
+            mu = None if entering is None else shifts[entering]
+            eig._chain_step(h, qt, 0, n - 1, pmin, pmax, mu, work)
+        pmin, pmax, entering = steps[step]
+        assert pmax - pmin == 3 * eig.BULGE_SPACING  # four bulges at once
+        h1, qt1 = h.copy(), qt.copy()
+        mu = None if entering is None else shifts[entering]
+        eig._chain_step(h1, qt1, 0, n - 1, pmin, pmax, mu, work)
+        for p in range(pmax, pmin - 1, -eig.BULGE_SPACING):
+            eig._chain_step(h, qt, 0, n - 1, p, p,
+                            mu if p == pmin else None, work)
+        assert np.abs(h1 - h).max() <= 1e-13
+        assert np.abs(qt1 - qt).max() <= 1e-13
+
+    def test_solve_leaves_scipy_linalg_unimported(self):
+        # importing scipy.linalg costs about 0.3 s and 22 MB of RSS
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from semispec import eigenvalues\n"
+            "rng = np.random.default_rng(5)\n"
+            "m = rng.standard_normal((100, 100))"
+            " + 1j * rng.standard_normal((100, 100))\n"
+            "assert eigenvalues(m).tolerance < 1e-12\n"
+            "print('scipy.linalg' in sys.modules)\n")
+        src = str(Path(semispec.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

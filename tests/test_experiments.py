@@ -69,6 +69,18 @@ class TestRunExperiment:
         assert res.principal_report.summary.max_dist <= 1e-10
         assert res.principal_report.summary.count_in_window == 25
 
+    def test_in_window_is_the_compared_set(self):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=16, delta=0.5)
+        res = run_experiment(cfg, write=False)
+        lo, hi = cfg.window_value()
+        expected = tuple(z for z in res.spectrum.eigenvalues
+                         if lo <= z.real <= hi and res.rect.contains(z))
+        assert res.in_window == expected
+        assert res.principal_report.summary.count_in_window \
+            == len(res.in_window) > 0
+        paired = {p.computed for p in res.principal_report.pairs}
+        assert paired <= set(res.in_window)
+
     def test_exact_match_at_eps_zero_line(self):
         cfg = ExperimentConfig(model="line", symbol="x^2 + xi^2", N=16)
         res = run_experiment(cfg, write=False)

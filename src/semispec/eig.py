@@ -293,17 +293,17 @@ def _schur(a, max_iter_factor=MAX_ITER_FACTOR):
         since_move += 1
         size = hi - lo + 1
         if since_move % EXCEPTIONAL_EVERY == 0:
-            _qr_sweep(h, qt, lo, hi, h[hi, hi] + 0.75 * abs(h[hi, hi - 1]),
-                      work)
-            total += 1
+            mu = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
         elif size > MULTISHIFT_MIN:
             ns = min(MAX_SHIFTS, size // ROWS_PER_SHIFT)
             block = h[hi - ns + 1:hi + 1, hi - ns + 1:hi + 1]
             _multishift_sweep(h, qt, lo, hi, np.linalg.eigvals(block), work)
             total += ns
+            continue
         else:
-            _qr_sweep(h, qt, lo, hi, _wilkinson_shift(h, hi), work)
-            total += 1
+            mu = _wilkinson_shift(h, hi)
+        _qr_sweep(h, qt, lo, hi, mu, work)
+        total += 1
     return h, qt.T
 
 

@@ -19,9 +19,10 @@ lowest unreduced window [lo, hi]:
 * Every EXCEPTIONAL_EVERY-th sweep without a deflation at the bottom is a
   single-shift sweep with an exceptional shift.
 
-Only unitary rotations touch H and Q, and they are accumulated so a Schur
-factorization A = Q T Q^H is available for the backward-error estimate and
-for eigenvectors.
+Only unitary transformations (the reflections, then Givens rotations)
+touch H and Q, and they are accumulated so a Schur factorization
+A = Q T Q^H is available for the backward-error estimate and for
+eigenvectors.
 
 ``engine="numpy"`` substitutes the platform routine behind the same
 contract; downstream code only sees SpectrumResult.
@@ -185,13 +186,9 @@ def _chain_step(h, qt, lo, hi, pmin, pmax, mu, work):
     if mu is not None:
         a[0] -= mu
     r = np.hypot(np.abs(a), np.abs(b))
-    if r.all():
-        c = a / r
-        s = b / r
-    else:
-        safe = np.where(r > 0.0, r, 1.0)
-        c = np.where(r > 0.0, a / safe, 1.0)
-        s = b / safe
+    safe = np.where(r > 0.0, r, 1.0)
+    c = np.where(r > 0.0, a / safe, 1.0)
+    s = b / safe
     cb, sb = c.conj(), s.conj()
     top = slice(pmin, pmax + 1, BULGE_SPACING)
     bottom = slice(pmin + 1, pmax + 2, BULGE_SPACING)
@@ -336,6 +333,7 @@ def eigenvalues(m, engine="qr", compute_vectors=False,
     m : array_like, square, finite entries
     engine : "qr" (in-house reference) or "numpy" (platform adapter)
     compute_vectors : compute eigenvectors and per-pair residuals
+    max_iter_factor : the QR budget is max_iter_factor * n shifts
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

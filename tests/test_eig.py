@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import semispec
 from semispec import (ConfigError, DomainError, SolverError, eig,
                       eigenvalues, eigenvalues_of, quantize_plane, PlaneSymbol)
 from semispec.experiments import ExperimentConfig, build_operator
@@ -291,7 +285,7 @@ class TestMultishift:
         assert np.abs(h1 - h).max() <= 1e-13
         assert np.abs(qt1 - qt).max() <= 1e-13
 
-    def test_solve_leaves_scipy_linalg_unimported(self):
+    def test_solve_leaves_scipy_linalg_unimported(self, run_python):
         # importing scipy.linalg costs about 0.3 s and 22 MB of RSS
         script = (
             "import sys\n"
@@ -302,11 +296,4 @@ class TestMultishift:
             " + 1j * rng.standard_normal((100, 100))\n"
             "assert eigenvalues(m).tolerance < 1e-12\n"
             "print('scipy.linalg' in sys.modules)\n")
-        src = str(Path(semispec.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
-                               if p)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert run_python(script).strip() == "False"

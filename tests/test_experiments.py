@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import semispec
 from semispec import (ConfigError, ExperimentConfig, PipelineError,
                       pt_verify, reproduce_figures, run_experiment)
 from semispec.experiments import FIGURE_SYMBOLS, build_action_map, default_rect
@@ -103,7 +98,7 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, write=False)
 
-    def test_prediction_leaves_scipy_linalg_unimported(self):
+    def test_prediction_leaves_scipy_linalg_unimported(self, run_python):
         # importing scipy.linalg costs about 0.3 s and 20 MB of RSS; the
         # predict path must not pay for it
         script = (
@@ -116,14 +111,7 @@ class TestRunExperiment:
             "preds = predict_modes(cfg, am, default_rect(cfg, am))\n"
             "assert preds['principal_exact'].points\n"
             "print('scipy.linalg' in sys.modules)\n")
-        src = str(Path(semispec.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
-                               if p)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert run_python(script).strip() == "False"
 
     def test_numeric_failure_carries_stage(self):
         from semispec import Rectangle

@@ -285,6 +285,17 @@ class TestMultishift:
         assert np.abs(h1 - h).max() <= 1e-13
         assert np.abs(qt1 - qt).max() <= 1e-13
 
+    def test_zero_pair_rotates_by_identity(self, rng):
+        n = 20
+        h = np.triu(random_complex(rng, n), -1)
+        h[5, 4] = 0.0  # with H[6, 4] = 0 a bulge at row 5 has nothing left
+        expected = h.copy()
+        qt = np.eye(n, dtype=complex)
+        eig._chain_step(h, qt, 0, n - 1, 5, 5, None,
+                        np.empty((2, n), dtype=complex))
+        assert np.array_equal(h, expected)
+        assert np.array_equal(qt, np.eye(n))
+
     def test_solve_leaves_scipy_linalg_unimported(self, run_python):
         # importing scipy.linalg costs about 0.3 s and 22 MB of RSS
         script = (

@@ -228,7 +228,9 @@ def _cmd_reproduce_figures(args):
     for name, result in sorted(results.items()):
         s = result.principal_report.summary
         print(f"{name}: count={s.count_in_window} max_dist={s.max_dist:.4e}")
-    print(f"wrote {len(results)} bundles under {args.out}")
+    distinct = len({r.spectrum.source_fingerprint for r in results.values()})
+    print(f"wrote {len(results)} bundles under {args.out} "
+          f"({distinct} distinct spectra)")
     return 0
 
 

@@ -261,11 +261,17 @@ def _stage(name):
         raise PipelineError(name, exc) from exc
 
 
-def run_experiment(cfg: ExperimentConfig, write=True):
+def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
     """Full pipeline for one config; writes artifact files when asked.
 
     Produces the spectrum CSV, prediction CSVs for both modes, the
     comparison report JSON and a plot script under cfg.out.
+
+    ``spectra``, when given, maps a matrix fingerprint to its
+    SpectrumResult: the spectrum stage looks the quantized matrix up there
+    and solves (and stores) it only on a miss, so runs that quantize the
+    same matrix share one solve.  The spectrum is a deterministic function
+    of the matrix, so sharing changes no result.
     """
     if cfg.N < 8:
         raise ConfigError("comparisons need N >= 8")
@@ -273,7 +279,13 @@ def run_experiment(cfg: ExperimentConfig, write=True):
     with _stage("quantize"):
         sym, op = build_operator(cfg)
     with _stage("spectrum"):
-        spec = eigenvalues_of(op)
+        if spectra is None:
+            spec = eigenvalues_of(op)
+        else:
+            key = op.matrix_fingerprint()
+            spec = spectra.get(key)
+            if spec is None:
+                spec = spectra[key] = eigenvalues_of(op)
     with _stage("predict"):
         am = build_action_map(cfg, sym)
         rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
@@ -432,9 +444,14 @@ def pt_verify(cfg: ExperimentConfig, write=True):
 
 def reproduce_figures(out_root, N=66, delta=0.5):
     """Run the nine standard configurations (five distinct symbols, four of
-    them shown twice at a zoomed window) and write one bundle per figure."""
+    them shown twice at a zoomed window) and write one bundle per figure.
+
+    A zoomed figure quantizes the same matrix as its parent, so the nine
+    runs share one fingerprint -> spectrum dict and take five eigensolves.
+    """
     out_root = Path(out_root)
     results = {}
+    spectra = {}
     for name, (model, symbol, zoom) in FIGURE_SYMBOLS.items():
         cfg = ExperimentConfig(model=model, symbol=symbol, N=N, delta=delta,
                                out=str(out_root / name))
@@ -445,5 +462,5 @@ def reproduce_figures(out_root, N=66, delta=0.5):
             else:
                 window = (lo, hi * zoom)
             cfg = replace(cfg, window=window)
-        results[name] = run_experiment(cfg)
+        results[name] = run_experiment(cfg, spectra=spectra)
     return results

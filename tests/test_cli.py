@@ -179,6 +179,6 @@ class TestReproduceFiguresCLI:
         code = run(["reproduce-figures", "--out", str(tmp_path), "--N", "10"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "wrote 9 bundles" in out
+        assert f"wrote 9 bundles under {tmp_path} (5 distinct spectra)" in out
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == [f"figure{k:02d}" for k in range(1, 10)]

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import semispec.experiments
 from semispec import (ConfigError, ExperimentConfig, PipelineError,
                       pt_verify, reproduce_figures, run_experiment)
 from semispec.experiments import FIGURE_SYMBOLS, build_action_map, default_rect
@@ -220,3 +222,39 @@ class TestReproduceFigures:
         w1 = r1["config"]["window"]
         w2 = r2["config"]["window"]
         assert w2[1] - w2[0] == pytest.approx(0.5 * (w1[1] - w1[0]))
+
+
+ZOOMED = {"figure02": "figure01", "figure04": "figure03",
+          "figure06": "figure05", "figure09": "figure08"}
+
+
+class TestSpectrumReuse:
+    def test_five_solves_for_nine_bundles(self, tmp_path, monkeypatch):
+        solve = semispec.experiments.eigenvalues_of
+        calls = []
+
+        def counting(op, **kwargs):
+            calls.append(op.matrix_fingerprint())
+            return solve(op, **kwargs)
+
+        monkeypatch.setattr(semispec.experiments, "eigenvalues_of", counting)
+        results = reproduce_figures(tmp_path, N=12)
+        assert len(calls) == len(set(calls)) == 5
+        for zoomed, parent in ZOOMED.items():
+            assert results[zoomed].spectrum is results[parent].spectrum
+
+    def test_zoomed_bundles_share_the_parent_spectrum_file(self, tmp_path):
+        reproduce_figures(tmp_path, N=12)
+        for zoomed, parent in ZOOMED.items():
+            assert (tmp_path / zoomed / "spectrum.csv").read_bytes() \
+                == (tmp_path / parent / "spectrum.csv").read_bytes()
+
+    def test_shared_spectrum_equals_a_standalone_solve(self, tmp_path):
+        results = reproduce_figures(tmp_path, N=12)
+        for zoomed in ZOOMED:
+            shared = results[zoomed].spectrum
+            alone = run_experiment(results[zoomed].config,
+                                   write=False).spectrum
+            for field in ("eigenvalues", "residuals"):
+                assert np.asarray(getattr(alone, field)).tobytes() \
+                    == np.asarray(getattr(shared, field)).tobytes()

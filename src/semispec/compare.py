@@ -41,23 +41,28 @@ class PairingSummary:
 
 
 def _greedy_pairs(computed, predictions):
-    cands = []
-    for j, (k, lam_p) in enumerate(predictions):
-        for i, lam_c in enumerate(computed):
-            cands.append((abs(lam_c - lam_p), j, i))
-    cands.sort(key=lambda t: (t[0], t[1], t[2]))
-    used_pred = set()
-    used_comp = set()
+    # dist[j, i] = |computed[i] - predictions[j]|.  np.hypot rounds like
+    # Python's abs(complex); np.abs on complex differs in the last bit.
+    diff = np.array(computed)[None, :] \
+        - np.array([z for _, z in predictions])[:, None]
+    dist = np.hypot(diff.real, diff.imag)
+    # A stable sort of the row-major distances orders candidates by
+    # (distance, j, i): ties keep their flat index j * len(computed) + i.
+    order = np.argsort(dist, axis=None, kind="stable")
+    used_pred = [False] * len(predictions)
+    used_comp = [False] * len(computed)
     pairs = []
-    for dist, j, i in cands:
-        if j in used_pred or i in used_comp:
+    want = min(len(predictions), len(computed))
+    for flat in order.tolist():
+        j, i = divmod(flat, len(computed))
+        if used_pred[j] or used_comp[i]:
             continue
-        used_pred.add(j)
-        used_comp.add(i)
+        used_pred[j] = used_comp[i] = True
         k, lam_p = predictions[j]
-        pairs.append(MatchedPair(k=k, computed=complex(computed[i]),
-                                 predicted=complex(lam_p),
-                                 distance=float(dist)))
+        pairs.append(MatchedPair(k=k, computed=computed[i], predicted=lam_p,
+                                 distance=float(dist[j, i])))
+        if len(pairs) == want:
+            break
     pairs.sort(key=lambda p: p.k)
     return pairs
 

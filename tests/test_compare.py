@@ -1,8 +1,32 @@
 import numpy as np
 import pytest
 
-from semispec import ConfigError, pair_spectra
+from semispec import ConfigError, MatchedPair, pair_spectra
 from semispec.compare import directed_hausdorff, summarize_pairs
+
+
+def reference_greedy_pairs(computed, predictions):
+    """The loop the vectorized greedy pairing replaced: every (distance, j,
+    i) candidate as a Python tuple, sorted, then taken greedily."""
+    cands = []
+    for j, (k, lam_p) in enumerate(predictions):
+        for i, lam_c in enumerate(computed):
+            cands.append((abs(lam_c - lam_p), j, i))
+    cands.sort(key=lambda t: (t[0], t[1], t[2]))
+    used_pred = set()
+    used_comp = set()
+    pairs = []
+    for dist, j, i in cands:
+        if j in used_pred or i in used_comp:
+            continue
+        used_pred.add(j)
+        used_comp.add(i)
+        k, lam_p = predictions[j]
+        pairs.append(MatchedPair(k=k, computed=complex(computed[i]),
+                                 predicted=complex(lam_p),
+                                 distance=float(dist)))
+    pairs.sort(key=lambda p: p.k)
+    return pairs
 
 
 class TestGreedyPairing:
@@ -34,6 +58,27 @@ class TestGreedyPairing:
         optimal = pair_spectra(computed, predictions, method="optimal")
         assert [(p.k, p.computed) for p in greedy] \
             == [(p.k, p.computed) for p in optimal]
+
+    @pytest.mark.parametrize("n_pred,n_comp", [(1, 1), (7, 30), (30, 7),
+                                                (40, 40), (120, 150)])
+    def test_matches_reference_loop_bit_for_bit(self, rng, n_pred, n_comp):
+        # Half the points sit on a coarse lattice, so many distances tie
+        # exactly and the (distance, j, i) tie order decides the pairing.
+        def points(n):
+            lattice = rng.integers(-3, 4, size=(n, 2)) * 0.25
+            smooth = rng.normal(size=(n, 2))
+            pick = rng.random(n) < 0.5
+            xy = np.where(pick[:, None], lattice, smooth)
+            return [complex(x, y) for x, y in xy]
+
+        computed = points(n_comp)
+        predictions = list(enumerate(points(n_pred)))
+        got = pair_spectra(computed, predictions)
+        want = reference_greedy_pairs(computed, predictions)
+        assert len(got) == min(n_pred, n_comp)
+        assert got == want
+        assert [p.distance.hex() for p in got] \
+            == [p.distance.hex() for p in want]
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):

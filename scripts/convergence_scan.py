@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from semispec import ExperimentConfig, run_experiment
+from semispec import ConfigError, ExperimentConfig, run_experiment
 
 
 def interior_max_dist(res):
@@ -34,20 +34,33 @@ def main(argv=None):
                         help="comma-separated truncation sizes")
     args = parser.parse_args(argv)
 
-    ns = [int(v) for v in args.Ns.split(",")]
+    try:
+        ns = [int(v) for v in args.Ns.split(",")]
+    except ValueError:
+        print(f"config error: --Ns must be comma-separated integers, got "
+              f"{args.Ns!r}", file=sys.stderr)
+        return 2
     errs = []
     for n in ns:
         t0 = time.perf_counter()
-        cfg = ExperimentConfig(model="circle", symbol=args.symbol, N=n,
-                               epsilon=args.epsilon)
-        res = run_experiment(cfg, write=False)
+        try:
+            cfg = ExperimentConfig(model="circle", symbol=args.symbol, N=n,
+                                   epsilon=args.epsilon)
+            res = run_experiment(cfg, write=False)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         err = interior_max_dist(res)
         errs.append(err)
         print(f"N={n:4d}  hbar={1.0 / n:.6f}  max_dist={err:.6e}  "
               f"[{time.perf_counter() - t0:.2f}s]")
     if len(ns) >= 2:
-        order = np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs), 1)[0]
-        print(f"fitted log-log order: {order:.2f}")
+        if min(errs) > 0:
+            order = np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs),
+                               1)[0]
+            print(f"fitted log-log order: {order:.2f}")
+        else:
+            print("fitted log-log order: undefined (a max_dist is 0)")
     return 0
 
 

@@ -18,7 +18,8 @@ import time
 
 import numpy as np
 
-from semispec import ConfigError, ExperimentConfig, run_experiment
+from semispec import (ConfigError, ExperimentConfig, NumericError,
+                      run_experiment)
 
 
 def interior_max_dist(res):
@@ -50,6 +51,9 @@ def main(argv=None):
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 3
         err = interior_max_dist(res)
         errs.append(err)
         print(f"N={n:4d}  hbar={1.0 / n:.6f}  max_dist={err:.6e}  "

@@ -22,14 +22,14 @@ from .fock_quantize import LadderPair, ladder, quantize_plane, weyl_monomial
 from .grammar import (format_circle, format_plane, format_symbol,
                       parse_circle, parse_plane, parse_symbol)
 from .operators import Basis, TruncatedOperator
-from .symbols import (CircleSymbol, EpsilonPolicy, PlaneSymbol, eval_circle,
-                      eval_plane, pt_symmetry_check, pullback_action_angle,
+from .symbols import (CircleSymbol, PlaneSymbol, eval_circle, eval_plane,
+                      pt_symmetry_check, pullback_action_angle,
                       theta_average)
 
 __all__ = [
     "ActionMap", "Basis", "BranchCutError", "CircleSymbol",
     "ComparisonReport", "ConfigError", "CriticalLevelError",
-    "DegeneracyError", "DomainError", "EpsilonPolicy", "ExperimentConfig",
+    "DegeneracyError", "DomainError", "ExperimentConfig",
     "ExperimentResult", "InversionError", "LadderPair", "LevelSetError",
     "MatchedPair", "NumericError", "NumericRangeError", "PTReport",
     "PairingSummary", "PipelineError", "PlaneSymbol",

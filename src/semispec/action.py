@@ -55,6 +55,17 @@ INVERSION_TOL = 1e-11
 GRID_BLOCK = 16  # energies per grid solve: bounds its working memory
 
 
+def parse_floats(text, what, names):
+    """Comma-separated floats, one per name (the --rect and --window form)."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != len(names):
+        raise ConfigError(f"{what} needs {','.join(names)}")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned window in the complex plane (closed)."""
@@ -79,14 +90,8 @@ class Rectangle:
 
     @classmethod
     def parse(cls, text):
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 4:
-            raise ConfigError("rect needs re_min,re_max,im_min,im_max")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ConfigError(f"rect: {exc}") from exc
-        return cls(*values)
+        return cls(*parse_floats(text, "rect",
+                                 ("re_min", "re_max", "im_min", "im_max")))
 
     def as_tuple(self):
         return (self.re_min, self.re_max, self.im_min, self.im_max)
@@ -150,30 +155,11 @@ class ActionMap:
 
     # -- level sets ---------------------------------------------------
 
-    def _newton_nodes(self, theta, start, targets):
-        """Vectorized complex Newton for p(theta, I) = targets."""
-        I = np.array(start, dtype=complex, copy=True)
-        tol = self.newton_tol * (1.0 + np.abs(targets))
-        for _ in range(self.newton_max_iter):
-            r = self.cyl.value(theta, I) - targets
-            done = np.abs(r) <= tol
-            d = self.cyl.d_dI(theta, I)
-            if np.any(np.abs(d) < JACOBIAN_FLOOR):
-                raise CriticalLevelError(
-                    "|dp/dI| below 1e-10 on the level set (near-critical "
-                    "energy)")
-            if np.all(done):
-                return I
-            I = np.where(done, I, I - r / d)
-        raise LevelSetError(
-            f"level-set Newton did not converge in {self.newton_max_iter} "
-            "iterations")
-
-    def _newton_grid(self, start, energies):
-        """Complex Newton for p(theta_j, I) = E_i on every node and energy
-        at once.  Returns the grid and, per energy, whether every node
-        converged with |dp/dI| above the floor; failures do not raise."""
-        thetas = self.thetas()[:, None]
+    def _newton_grid(self, thetas, start, energies):
+        """Complex Newton for p(theta, I) = E at every theta (a column of
+        nodes, or one node) and every energy at once.  Returns the
+        solution and two per-energy flags: every node converged, and every
+        node ended with |dp/dI| above the floor.  Failures do not raise."""
         I = np.array(start, dtype=complex, copy=True)
         tol = self.newton_tol * (1.0 + np.abs(energies))
         with np.errstate(all="ignore"):
@@ -184,8 +170,8 @@ class ActionMap:
                     break
                 I = np.where(done, I, I - r / self.cyl.d_dI(thetas, I))
             d = self.cyl.d_dI(thetas, I)
-        ok = np.all(done, axis=0) & np.all(np.abs(d) >= JACOBIAN_FLOOR, axis=0)
-        return I, ok
+        return (I, np.all(done, axis=0),
+                np.all(np.abs(d) >= JACOBIAN_FLOOR, axis=0))
 
     @staticmethod
     def _loop_tol(levels):
@@ -207,14 +193,23 @@ class ActionMap:
         node 0 starts from ``seeds``, each later node from its
         predecessor, and a final wrap-around step back to theta = 2*pi
         must land on node 0 again."""
+        def node(theta, start):
+            I, converged, regular = self._newton_grid(theta, start, energies)
+            if not np.all(converged):
+                raise LevelSetError(
+                    f"level-set Newton did not converge in "
+                    f"{self.newton_max_iter} iterations")
+            if not np.all(regular):
+                raise CriticalLevelError(
+                    "|dp/dI| below 1e-10 on the level set (near-critical "
+                    "energy)")
+            return I
+
         out = np.empty((self.num_nodes, energies.size), dtype=complex)
-        cur = self._newton_nodes(0.0, seeds, energies)
-        out[0] = cur
+        cur = out[0] = node(0.0, seeds)
         for j in range(1, self.num_nodes):
-            theta = 2.0 * np.pi * j / self.num_nodes
-            cur = self._newton_nodes(theta, cur, energies)
-            out[j] = cur
-        wrap = self._newton_nodes(2.0 * np.pi, cur, energies)
+            cur = out[j] = node(2.0 * np.pi * j / self.num_nodes, cur)
+        wrap = node(2.0 * np.pi, cur)
         gap = np.abs(wrap - out[0])
         if np.any(gap > self._loop_tol(out)):
             raise LevelSetError(
@@ -241,8 +236,10 @@ class ActionMap:
                      for e, n in zip(energies, near)]
             start = np.broadcast_to(np.asarray(seeds, dtype=complex),
                                     (self.num_nodes, energies.size))
-        levels, ok = self._newton_grid(start, energies)
-        ok &= self._fourier_tail(levels) <= self._loop_tol(levels)
+        levels, converged, regular = self._newton_grid(
+            self.thetas()[:, None], start, energies)
+        ok = (converged & regular
+              & (self._fourier_tail(levels) <= self._loop_tol(levels)))
         bad = np.flatnonzero(~ok)
         if bad.size:
             levels[:, bad] = self._continue_levels(energies[bad],

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: quantize, spectrum, predict, compare, reproduce-figures,
-pt-verify.  Flags can also come from a flat key/value config file
-(--config FILE, lines "key = value", '#' comments); explicit flags win.
-Exit codes: 0 success, 2 config error (also for malformed --rect or
---window values and for a --config or --matrix file that is missing,
-unreadable or malformed), 3 numeric failure (the failing stage is named
-on stderr).  Every subcommand runs the stage functions of
+pt-verify.  The run parameters are the rows of _PARAMS: each is a flag
+--<key> and a key of a flat config file (--config FILE, lines "key =
+value", '#' comments, keys in any case with '_' or '-'); flags win.
+Exit codes: 0 success, 2 config error (also for a malformed value from
+a flag or the file, and for a --config or --matrix file that is
+missing, unreadable or malformed), 3 numeric failure (the failing stage
+is named on stderr).  Every subcommand runs the stage functions of
 semispec.experiments.
 """
 
@@ -17,13 +18,50 @@ import json
 import sys
 from pathlib import Path
 
-from .action import Rectangle
+from .action import Rectangle, parse_floats
 from .errors import ConfigError, NumericError
 from .experiments import (ExperimentConfig, build_action_map, build_operator,
                           default_rect, eigenvalues_of, predict_modes,
                           pt_verify, reproduce_figures, run_experiment,
                           _stage, _write_text)
 from .operators import TruncatedOperator
+
+
+def _rect(text):
+    return Rectangle.parse(text) if text else None
+
+
+def _window(text):
+    return parse_floats(text, "window", ("lo", "hi")) if text else None
+
+
+def _on_off(text):
+    if text not in ("on", "off"):
+        raise ConfigError("maslov must be on or off")
+    return text == "on"
+
+
+# The run parameters: flag and config-file key -> (parser of its text,
+# help).  The ExperimentConfig field is the key with '-' read as '_',
+# which is also the attribute argparse stores the flag under.
+_PARAMS = {
+    "model": (str, "circle or line"),
+    "symbol": (str, "symbol text, e.g. 'I + i*epsilon*(cos(theta) + I^2)'"),
+    "N": (int, "truncation size"),
+    "hbar": (float, "semiclassical parameter (default 1/N)"),
+    "delta": (float, "epsilon = hbar**delta"),
+    "epsilon": (float, "fixed perturbation strength"),
+    "rect": (_rect, "re_min,re_max,im_min,im_max"),
+    "window": (_window, "lo,hi interior window on Re"),
+    "out": (str, "output directory"),
+    "pairing": (str, "greedy or optimal"),
+    "maslov": (_on_off, "on or off"),
+    "floquet-offset": (float, "Floquet offset of the quantized action"),
+}
+
+
+def _field(key):
+    return key.replace("-", "_")
 
 
 def _build_parser():
@@ -33,22 +71,13 @@ def _build_parser():
                     "and their Bohr-Sommerfeld predictions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_symbol=True):
+    def add_params(p, keys=_PARAMS):
+        for key in keys:
+            p.add_argument(f"--{key}", help=_PARAMS[key][1])
+
+    def add_common(p):
         p.add_argument("--config", help="flat key/value config file")
-        p.add_argument("--model", choices=["circle", "line"])
-        p.add_argument("--symbol", required=False,
-                       help="symbol text, e.g. 'I + i*epsilon*(cos(theta) + I^2)'")
-        p.add_argument("--N", type=int)
-        p.add_argument("--hbar", type=float)
-        p.add_argument("--delta", type=float,
-                       help="epsilon = hbar**delta")
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--rect", help="re_min,re_max,im_min,im_max")
-        p.add_argument("--window", help="lo,hi interior window on Re")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--pairing", choices=["greedy", "optimal"])
-        p.add_argument("--maslov", choices=["on", "off"])
-        p.add_argument("--floquet-offset", type=float, dest="floquet_offset")
+        add_params(p)
 
     p = sub.add_parser("quantize", help="build and serialize the matrix")
     add_common(p)
@@ -62,19 +91,10 @@ def _build_parser():
     add_common(p)
     p = sub.add_parser("reproduce-figures",
                        help="run the nine standard configurations")
-    p.add_argument("--out", required=True)
-    p.add_argument("--N", type=int, default=66)
-    p.add_argument("--delta", type=float, default=0.5)
+    add_params(p, ("out", "N", "delta"))
     p = sub.add_parser("pt-verify", help="parity-conjugation symmetry checks")
     add_common(p)
     return parser
-
-
-_CONFIG_KEYS = {
-    "model": str, "symbol": str, "n": int, "hbar": float, "delta": float,
-    "epsilon": float, "rect": str, "window": str, "out": str,
-    "pairing": str, "maslov": str, "floquet-offset": float,
-}
 
 
 def _read_input(path):
@@ -85,6 +105,8 @@ def _read_input(path):
 
 
 def _load_config_file(path):
+    """{key: (where, text)} for each line of a config file."""
+    keys = {key.lower(): key for key in _PARAMS}
     values = {}
     for lineno, raw in enumerate(_read_input(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -94,71 +116,37 @@ def _load_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("_", "-")
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        values[keys[key]] = (f"{path}:{lineno}", val.strip())
     return values
 
 
-def _merge_config(args):
-    merged = {}
+def _param_values(args):
+    """{field: value} from the config file and the flags (flags win), each
+    text parsed by its row of _PARAMS."""
+    text = {}
     if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    cli_map = {
-        "model": args.model, "symbol": args.symbol, "n": args.N,
-        "hbar": args.hbar, "delta": args.delta, "epsilon": args.epsilon,
-        "rect": args.rect, "window": args.window, "out": args.out,
-        "pairing": args.pairing, "maslov": args.maslov,
-        "floquet-offset": args.floquet_offset,
-    }
-    for key, val in cli_map.items():
+        text.update(_load_config_file(args.config))
+    for key in _PARAMS:
+        val = getattr(args, _field(key), None)
         if val is not None:
-            merged[key] = val
-    return merged
+            text[key] = (f"--{key}", val)
+    values = {}
+    for key, (where, val) in text.items():
+        try:
+            values[_field(key)] = _PARAMS[key][0](val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return values
 
 
 def _experiment_config(args):
-    merged = _merge_config(args)
-    if "model" not in merged:
-        raise ConfigError("--model is required")
-    if "symbol" not in merged:
-        raise ConfigError("--symbol is required")
-    window = None
-    if merged.get("window"):
-        parts = [p.strip() for p in str(merged["window"]).split(",")]
-        if len(parts) != 2:
-            raise ConfigError("window needs lo,hi")
-        try:
-            window = (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(f"window: {exc}") from exc
-    rect = Rectangle.parse(merged["rect"]) if merged.get("rect") else None
-    maslov = merged.get("maslov", "on")
-    if maslov not in ("on", "off"):
-        raise ConfigError("maslov must be on or off")
-    kwargs = dict(
-        model=merged["model"],
-        symbol=merged["symbol"],
-        rect=rect,
-        window=window,
-        out=merged.get("out"),
-        pairing=merged.get("pairing", "greedy"),
-        maslov=maslov == "on",
-        floquet_offset=float(merged.get("floquet-offset", 0.0)),
-    )
-    if "n" in merged:
-        kwargs["N"] = int(merged["n"])
-    if "hbar" in merged:
-        kwargs["hbar"] = float(merged["hbar"])
-    if "delta" in merged:
-        kwargs["delta"] = float(merged["delta"])
-    if "epsilon" in merged:
-        kwargs["epsilon"] = float(merged["epsilon"])
-    return ExperimentConfig(**kwargs)
+    values = _param_values(args)
+    for key in ("model", "symbol"):
+        if key not in values:
+            raise ConfigError(f"--{key} is required")
+    return ExperimentConfig(**values)
 
 
 def _out_dir(out):
@@ -224,12 +212,16 @@ def _cmd_compare(args):
 
 
 def _cmd_reproduce_figures(args):
-    results = reproduce_figures(args.out, N=args.N, delta=args.delta)
+    values = _param_values(args)
+    if "out" not in values:
+        raise ConfigError("reproduce-figures needs --out")
+    out = values.pop("out")
+    results = reproduce_figures(out, **values)
     for name, result in sorted(results.items()):
         s = result.principal_report.summary
         print(f"{name}: count={s.count_in_window} max_dist={s.max_dist:.4e}")
     distinct = len({r.spectrum.source_fingerprint for r in results.values()})
-    print(f"wrote {len(results)} bundles under {args.out} "
+    print(f"wrote {len(results)} bundles under {out} "
           f"({distinct} distinct spectra)")
     return 0
 

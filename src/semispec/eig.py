@@ -340,7 +340,7 @@ def eigenvalues(m, engine="qr", compute_vectors=False,
         raise ConfigError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ConfigError("matrix must have dimension >= 1")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
     fingerprint = matrix_fingerprint(a)
     norm = np.linalg.norm(a, ord="fro")

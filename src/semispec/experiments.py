@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from .eig import eigenvalues_of
 from .errors import ConfigError, PipelineError, SemispecError
 from .fock_quantize import parity_matrix, quantize_plane
 from .grammar import parse_circle, parse_plane
-from .symbols import EpsilonPolicy, pt_symmetry_check, pullback_action_angle
+from .symbols import pt_symmetry_check, pullback_action_angle
 
 INTERIOR_FRACTION = 0.8  # truncation corrupts edge eigenvalues
 MODES = ("averaged_first_order", "principal_exact")
@@ -80,15 +81,23 @@ class ExperimentConfig:
             raise ConfigError(f"hbar must be finite and positive, got {h!r}")
         return h
 
-    def epsilon_policy(self):
-        if self.epsilon is not None:
-            return EpsilonPolicy(mode="fixed", value=float(self.epsilon))
-        if self.delta is not None:
-            return EpsilonPolicy(mode="hbar_power", delta=float(self.delta))
-        return EpsilonPolicy(mode="fixed", value=0.0)
-
     def epsilon_value(self):
-        return self.epsilon_policy().resolve(self.hbar_value())
+        """The fixed epsilon, else hbar**delta, else 0."""
+        if self.epsilon is not None:
+            eps = float(self.epsilon)
+        elif self.delta is not None:
+            try:
+                eps = self.hbar_value() ** float(self.delta)
+            except OverflowError:
+                eps = math.inf
+        else:
+            eps = 0.0
+        if not math.isfinite(eps) or eps < 0:
+            raise ConfigError(f"resolved epsilon {eps!r} is invalid")
+        if eps >= 0.5:
+            warnings.warn(
+                f"epsilon = {eps:.4g} >= 0.5: perturbative regime is doubtful")
+        return eps
 
     def trusted_window(self):
         h = self.hbar_value()

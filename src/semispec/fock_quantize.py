@@ -99,7 +99,7 @@ def quantize_plane(sym: PlaneSymbol, hbar: float, N: int, extra_padding: int = 0
         total += c * weyl_monomial(x_op, xi_op, m, n)
     for (m, n), c in sorted(sym.q_coeffs.items()):
         total += (1j * sym.epsilon * c) * weyl_monomial(x_op, xi_op, m, n)
-    if not np.all(np.isfinite(total.view(float))):
+    if not np.isfinite(total).all():
         raise NumericRangeError("overflow while assembling the Fock matrix")
     block = total[:N + 1, :N + 1]
     return TruncatedOperator(

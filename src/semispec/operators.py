@@ -48,13 +48,6 @@ class Basis:
     def dimension(self):
         return 2 * self.N + 1 if self.kind == "fourier" else self.N + 1
 
-    @property
-    def indices(self):
-        """Basis labels: Fourier modes -N..N or Fock indices 0..N."""
-        if self.kind == "fourier":
-            return np.arange(-self.N, self.N + 1)
-        return np.arange(self.N + 1)
-
 
 @dataclass(frozen=True)
 class TruncatedOperator:
@@ -71,7 +64,7 @@ class TruncatedOperator:
             raise ConfigError(
                 f"matrix dimension {m.shape[0]} does not match basis "
                 f"dimension {self.basis.dimension}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m).all():
             raise DomainError("matrix has non-finite entries")
         if self.hbar <= 0:
             raise ConfigError("hbar must be positive")

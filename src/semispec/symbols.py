@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -226,35 +225,6 @@ def _wallis_average(m, n):
             / _double_factorial(m + n))
 
 
-@dataclass(frozen=True)
-class EpsilonPolicy:
-    """How the perturbation strength is tied to the semiclassical parameter.
-
-    mode 'fixed' uses ``value`` directly; mode 'hbar_power' uses hbar**delta.
-    """
-
-    mode: str
-    value: float = 0.0
-    delta: float = 0.5
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "hbar_power"):
-            raise ConfigError(f"unknown epsilon mode {self.mode!r}")
-
-    def resolve(self, hbar):
-        if self.mode == "fixed":
-            eps = float(self.value)
-        else:
-            eps = float(hbar) ** float(self.delta)
-        if not math.isfinite(eps) or eps < 0:
-            raise ConfigError(f"resolved epsilon {eps!r} is invalid")
-        if eps >= 0.5:
-            warnings.warn(
-                f"epsilon = {eps:.4g} >= 0.5: perturbative regime is doubtful",
-                stacklevel=2)
-        return eps
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -319,14 +289,8 @@ class _CylinderMapBase:
     q_average: tuple[float, ...]
     min_action: float | None = None
 
-    def __call__(self, theta, I):
-        return self.value(theta, I)
-
     def f_action(self, I):
         return _polyval(self.f_action_coeffs, I)
-
-    def f_action_derivative(self, I):
-        return _polyval(_polyder(self.f_action_coeffs), I)
 
     def q_average_value(self, I):
         return _polyval(self.q_average, I)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semispec import (CircleSymbol, ConfigError, TruncatedOperator,
-                      TruncationError, quantize_circle)
+from semispec import (CircleSymbol, ConfigError, DomainError,
+                      TruncatedOperator, TruncationError, quantize_circle)
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}
 
@@ -147,6 +147,27 @@ class TestErrors:
         sym = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={})
         with pytest.raises(ConfigError):
             quantize_circle(sym, 0.0, 0.0, 4)
+
+    def test_non_contiguous_matrix(self):
+        op = quantize_circle(CircleSymbol(f_coeffs=(0.0, 1.0), q_terms=COS),
+                             0.1, 0.25, 4)
+        kwargs = dict(basis=op.basis, hbar=op.hbar,
+                      symbol_fingerprint=op.symbol_fingerprint)
+        m = op.matrix.T
+        assert not m.flags.c_contiguous
+        got = TruncatedOperator(matrix=m, **kwargs)
+        ref = TruncatedOperator(matrix=np.ascontiguousarray(m), **kwargs)
+        assert np.array_equal(got.matrix, ref.matrix)
+        assert got.matrix_fingerprint() == ref.matrix_fingerprint()
+
+    def test_infinite_imaginary_part(self):
+        op = quantize_circle(CircleSymbol(f_coeffs=(0.0, 1.0), q_terms=COS),
+                             0.1, 0.25, 4)
+        m = op.matrix.copy()
+        m[1, 2] = complex(0.0, float("-inf"))
+        with pytest.raises(DomainError):
+            TruncatedOperator(matrix=m, basis=op.basis, hbar=op.hbar,
+                              symbol_fingerprint=op.symbol_fingerprint)
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from semispec.cli import main
+from semispec.cli import _PARAMS, main
 
 FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
 FIG5 = "x^2 + xi^2 + i*epsilon*x^2"
@@ -102,6 +102,73 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("flavor = strange\n")
         assert run(["compare", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+# A non-default value for every row of the CLI parameter table (the value
+# of "out" is the run's output directory).
+TABLE_VALUES = {
+    "model": "circle", "symbol": FIG1, "N": "16", "hbar": "0.0625",
+    "delta": "0.5", "epsilon": "0.05", "rect": "-0.4,0.4,-0.1,0.1",
+    "window": "-0.4,0.4", "out": None, "pairing": "optimal",
+    "maslov": "off", "floquet-offset": "0.25",
+}
+BASE = {"model": "circle", "symbol": "I", "N": "12"}
+
+
+def compare_config_text(tmp_path, flags, lines):
+    """config.txt bytes of a compare run from flags plus a config file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in lines))
+    out = tmp_path / "out"
+    assert run(["compare", "--config", str(cfg), *flags]) == 0
+    text = (out / "config.txt").read_bytes()
+    (out / "config.txt").unlink()
+    return text
+
+
+class TestParameterTable:
+    def test_values_cover_the_table(self):
+        assert set(TABLE_VALUES) == set(_PARAMS)
+
+    @pytest.mark.parametrize("key", list(TABLE_VALUES))
+    def test_flag_and_config_line_agree(self, tmp_path, key):
+        value = TABLE_VALUES[key] or str(tmp_path / "out")
+        base = {**BASE, "out": str(tmp_path / "out")}
+        flags = [f"--{k}={v}" for k, v in base.items() if k != key]
+        from_flag = compare_config_text(tmp_path, flags + [f"--{key}={value}"],
+                                        [])
+        from_file = compare_config_text(tmp_path, flags, [f"{key} = {value}"])
+        assert from_flag == from_file
+
+    def test_config_keys_in_any_case(self, tmp_path):
+        flags = [f"--out={tmp_path / 'out'}"]
+        spelled = compare_config_text(
+            tmp_path, flags, ["MODEL = circle", "Symbol = I", "n = 12",
+                              "FLOQUET_OFFSET = 0.25"])
+        plain = compare_config_text(
+            tmp_path, flags, ["model = circle", "symbol = I", "N = 12",
+                              "floquet-offset = 0.25"])
+        assert spelled == plain
+
+    @pytest.mark.parametrize("key,value", [
+        ("N", "abc"), ("hbar", "x"), ("model", "torus")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_value_is_2(self, tmp_path, capsys, key, value, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n" if source == "config" else "")
+        flags = [f"--{k}={v}" for k, v in BASE.items() if k != key]
+        if source == "flag":
+            flags.append(f"--{key}={value}")
+        code = run(["compare", "--config", str(cfg), *flags,
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_reproduce_figures_malformed_N_is_2(self, tmp_path, capsys):
+        code = run(["reproduce-figures", "--out", str(tmp_path),
+                    "--N", "abc"])
+        assert code == 2
         assert "config error" in capsys.readouterr().err
 
 

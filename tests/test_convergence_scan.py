@@ -34,3 +34,14 @@ def test_zero_epsilon_order_is_undefined(run_python):
     assert "max_dist=0.000000e+00" in out
     assert "fitted log-log order: undefined" in out
     assert "nan" not in out
+
+
+def test_numeric_failure_is_3(run_python):
+    # f = I^3 - I folds at I = 1/sqrt(3): the action inversion misses and
+    # the scan must report the failing stage, as the CLI does
+    code, out, err = scan(run_python, "--symbol",
+                          "I^3 - I + i*epsilon*cos(theta)",
+                          "--epsilon", "0.05", "--Ns", "8,12")
+    assert code == 3
+    assert err.startswith("numeric failure: stage=predict")
+    assert "Traceback" not in err

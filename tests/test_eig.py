@@ -163,6 +163,23 @@ class TestErrors:
         with pytest.raises(DomainError):
             eigenvalues(m)
 
+    def test_infinite_imaginary_part(self):
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = complex(0.0, float("inf"))
+        with pytest.raises(DomainError):
+            eigenvalues(m)
+
+    @pytest.mark.parametrize("view", [lambda m: m.T, lambda m: m[::2, ::2]],
+                             ids=["transpose", "strided"])
+    def test_non_contiguous_input(self, rng, view):
+        m = view(random_complex(rng, 24))
+        assert not m.flags.c_contiguous
+        res = eigenvalues(m)
+        ref = eigenvalues(np.ascontiguousarray(m))
+        assert np.array_equal(res.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(res.residuals, ref.residuals)
+        assert res.source_fingerprint == ref.source_fingerprint
+
     def test_shift_budget_exhaustion(self, rng):
         # this matrix needs 226 shifts in 136 sweeps: a budget of 180
         # fails only when a multishift sweep counts each of its shifts

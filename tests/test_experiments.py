@@ -59,6 +59,32 @@ class TestConfig:
         assert rect.im_min < 0 < rect.im_max
 
 
+class TestEpsilonValue:
+    def test_fixed(self):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, hbar=0.01,
+                               epsilon=0.07)
+        assert cfg.epsilon_value() == 0.07
+
+    def test_hbar_power(self):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
+        assert cfg.epsilon_value() == pytest.approx((1.0 / 66) ** 0.5)
+
+    def test_large_epsilon_warns(self):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, hbar=0.01,
+                               epsilon=0.6)
+        with pytest.warns(UserWarning):
+            cfg.epsilon_value()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"epsilon": -0.1}, {"epsilon": float("inf")},
+        {"epsilon": float("nan")}, {"hbar": 1e300, "delta": 2.0}],
+        ids=["negative", "inf", "nan", "overflow"])
+    def test_invalid_epsilon_is_config_error(self, kwargs):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, **kwargs)
+        with pytest.raises(ConfigError, match="resolved epsilon"):
+            cfg.epsilon_value()
+
+
 class TestRunExperiment:
     def test_exact_match_at_eps_zero_circle(self):
         cfg = ExperimentConfig(model="circle", symbol="I", N=16)

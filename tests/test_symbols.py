@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semispec import (BranchCutError, CircleSymbol, ConfigError, DomainError,
-                      EpsilonPolicy, PlaneSymbol, eval_circle, eval_plane,
-                      pt_symmetry_check, pullback_action_angle, theta_average)
+                      PlaneSymbol, eval_circle, eval_plane, pt_symmetry_check,
+                      pullback_action_angle, theta_average)
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}  # cos(theta) as exponential pair
 
@@ -243,20 +243,3 @@ class TestValidation:
     def test_f_trailing_zeros_trimmed(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0, 0.0), q_terms={})
         assert sym.f_coeffs == (0.0, 1.0)
-
-
-class TestEpsilonPolicy:
-    def test_fixed(self):
-        assert EpsilonPolicy(mode="fixed", value=0.07).resolve(0.01) == 0.07
-
-    def test_hbar_power(self):
-        pol = EpsilonPolicy(mode="hbar_power", delta=0.5)
-        assert pol.resolve(1.0 / 66) == pytest.approx((1.0 / 66) ** 0.5)
-
-    def test_large_epsilon_warns(self):
-        with pytest.warns(UserWarning):
-            EpsilonPolicy(mode="fixed", value=0.6).resolve(0.01)
-
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            EpsilonPolicy(mode="adaptive")

@@ -20,11 +20,7 @@ import numpy as np
 
 from semispec import (ConfigError, ExperimentConfig, NumericError,
                       run_experiment)
-
-
-def interior_max_dist(res):
-    pred = res.predictions["principal_exact"].values()
-    return max(np.abs(pred - c).min() for c in res.in_window)
+from semispec.compare import directed_hausdorff
 
 
 def main(argv=None):
@@ -54,7 +50,8 @@ def main(argv=None):
         except NumericError as exc:
             print(f"numeric failure: {exc}", file=sys.stderr)
             return 3
-        err = interior_max_dist(res)
+        err = directed_hausdorff(
+            res.in_window, res.predictions["principal_exact"].values())
         errs.append(err)
         print(f"N={n:4d}  hbar={1.0 / n:.6f}  max_dist={err:.6e}  "
               f"[{time.perf_counter() - t0:.2f}s]")

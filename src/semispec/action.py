@@ -46,8 +46,8 @@ from .errors import (ConfigError, CriticalLevelError, DegeneracyError,
                      InversionError, LevelSetError)
 
 DEFAULT_NODES = 256
-DEFAULT_NEWTON_TOL = 1e-12
-DEFAULT_NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 JACOBIAN_FLOOR = 1e-10
 DERIVATIVE_FLOOR = 1e-10
 LOOP_CLOSURE_TOL = 1e-10
@@ -76,6 +76,8 @@ class Rectangle:
     im_max: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.as_tuple()):
+            raise ConfigError("rectangle bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ConfigError("rectangle must be nonempty")
 
@@ -130,21 +132,16 @@ class ActionMap:
 
     The underlying evaluator comes from CircleSymbol.cylinder_map(eps) or
     from pullback_action_angle(plane_symbol).  Instances hold no state
-    besides their construction parameters: every query depends on its
-    arguments alone, whatever was asked before, so concurrent queries are
-    safe.  The query surface is solve_level_set, action_integral,
-    action_derivative, invert_action and averaged_value.
+    besides the cylinder and the quadrature node count num_nodes
+    (DEFAULT_NODES): every query depends on its arguments alone, whatever
+    was asked before, so concurrent queries are safe.  The query surface
+    is solve_level_set, action_integral, action_derivative, invert_action
+    and averaged_value.
     """
 
-    def __init__(self, cylinder, num_nodes=DEFAULT_NODES,
-                 newton_tol=DEFAULT_NEWTON_TOL,
-                 newton_max_iter=DEFAULT_NEWTON_MAX_ITER):
-        if num_nodes < 8:
-            raise ConfigError("need at least 8 quadrature nodes")
+    def __init__(self, cylinder):
         self.cyl = cylinder
-        self.num_nodes = int(num_nodes)
-        self.newton_tol = float(newton_tol)
-        self.newton_max_iter = int(newton_max_iter)
+        self.num_nodes = DEFAULT_NODES
 
     @property
     def eps(self):
@@ -161,9 +158,9 @@ class ActionMap:
         solution and two per-energy flags: every node converged, and every
         node ended with |dp/dI| above the floor.  Failures do not raise."""
         I = np.array(start, dtype=complex, copy=True)
-        tol = self.newton_tol * (1.0 + np.abs(energies))
+        tol = NEWTON_TOL * (1.0 + np.abs(energies))
         with np.errstate(all="ignore"):
-            for _ in range(self.newton_max_iter):
+            for _ in range(NEWTON_MAX_ITER):
                 r = self.cyl.value(thetas, I) - energies
                 done = np.abs(r) <= tol
                 if np.all(done):
@@ -198,7 +195,7 @@ class ActionMap:
             if not np.all(converged):
                 raise LevelSetError(
                     f"level-set Newton did not converge in "
-                    f"{self.newton_max_iter} iterations")
+                    f"{NEWTON_MAX_ITER} iterations")
             if not np.all(regular):
                 raise CriticalLevelError(
                     "|dp/dI| below 1e-10 on the level set (near-critical "
@@ -278,11 +275,11 @@ class ActionMap:
         the last E serve the final miss check."""
         E = np.asarray(self.cyl.f_action(targets), dtype=complex).copy()
         levels = None
-        for step in range(self.newton_max_iter + 1):
+        for step in range(NEWTON_MAX_ITER + 1):
             levels = self._solve_levels(E, targets.real, start=levels)
             r = levels.mean(axis=0) - targets
-            done = np.abs(r) <= self.newton_tol
-            if np.all(done) or step == self.newton_max_iter:
+            done = np.abs(r) <= NEWTON_TOL
+            if np.all(done) or step == NEWTON_MAX_ITER:
                 break
             d = self._d_action(levels)
             small = ~done & (np.abs(d) < DERIVATIVE_FLOOR)

@@ -48,5 +48,4 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
         matrix=mat,
         basis=Basis(kind="fourier", N=N),
         hbar=float(hbar),
-        symbol_fingerprint=sym.fingerprint(eps),
     )

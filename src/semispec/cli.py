@@ -54,7 +54,6 @@ _PARAMS = {
     "rect": (_rect, "re_min,re_max,im_min,im_max"),
     "window": (_window, "lo,hi interior window on Re"),
     "out": (str, "output directory"),
-    "pairing": (str, "greedy or optimal"),
     "maslov": (_on_off, "on or off"),
     "floquet-offset": (float, "Floquet offset of the quantized action"),
 }

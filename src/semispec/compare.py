@@ -3,8 +3,7 @@
 Predictions and eigenvalues sit on curves with spacing of order hbar,
 so greedy nearest-neighbor assignment (ascending distance, each
 computed eigenvalue used at most once) coincides with the optimal
-assignment in practice; the optimal variant is kept behind a flag for
-stress tests.
+assignment in practice.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -67,24 +64,7 @@ def _greedy_pairs(computed, predictions):
     return pairs
 
 
-def _optimal_pairs(computed, predictions):
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.empty((len(predictions), len(computed)))
-    for j, (_, lam_p) in enumerate(predictions):
-        cost[j] = np.abs(np.asarray(computed) - lam_p)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [
-        MatchedPair(k=predictions[j][0], computed=complex(computed[i]),
-                    predicted=complex(predictions[j][1]),
-                    distance=float(cost[j, i]))
-        for j, i in zip(rows, cols)
-    ]
-    pairs.sort(key=lambda p: p.k)
-    return pairs
-
-
-def pair_spectra(computed, predictions, method="greedy"):
+def pair_spectra(computed, predictions):
     """Match predicted points (k, lambda') to computed eigenvalues.
 
     Returns at most min(len(computed), len(predictions)) MatchedPair
@@ -94,21 +74,18 @@ def pair_spectra(computed, predictions, method="greedy"):
     predictions = [(int(k), complex(z)) for k, z in predictions]
     if not computed or not predictions:
         return []
-    if method == "greedy":
-        return _greedy_pairs(computed, predictions)
-    if method == "optimal":
-        return _optimal_pairs(computed, predictions)
-    raise ConfigError(f"unknown pairing method {method!r}")
+    return _greedy_pairs(computed, predictions)
 
 
-def directed_hausdorff(predictions, computed):
-    """max over predictions of the distance to the nearest computed value."""
-    if not predictions:
+def directed_hausdorff(points, targets):
+    """max over points of the distance to the nearest target (complex
+    sequences); 0.0 without points, None without targets."""
+    if len(points) == 0:
         return 0.0
-    if not computed:
+    if len(targets) == 0:
         return None
-    comp = np.asarray([complex(z) for z in computed])
-    return float(max(np.abs(comp - complex(z)).min() for _, z in predictions))
+    targets = np.asarray([complex(z) for z in targets])
+    return float(max(np.abs(targets - complex(z)).min() for z in points))
 
 
 def summarize_pairs(pairs, predictions, computed_in_window):
@@ -117,6 +94,6 @@ def summarize_pairs(pairs, predictions, computed_in_window):
         max_dist=float(max(dists)) if dists else 0.0,
         mean_dist=float(np.mean(dists)) if dists else 0.0,
         count_in_window=len(computed_in_window),
-        hausdorff_pred_to_computed=directed_hausdorff(predictions,
-                                                      computed_in_window),
+        hausdorff_pred_to_computed=directed_hausdorff(
+            [z for _, z in predictions], computed_in_window),
     )

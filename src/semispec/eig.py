@@ -21,8 +21,7 @@ lowest unreduced window [lo, hi]:
 
 Only unitary transformations (the reflections, then Givens rotations)
 touch H and Q, and they are accumulated so a Schur factorization
-A = Q T Q^H is available for the backward-error estimate and for
-eigenvectors.
+A = Q T Q^H is available for the backward-error estimate.
 
 ``engine="numpy"`` substitutes the platform routine behind the same
 contract; downstream code only sees SpectrumResult.
@@ -50,11 +49,11 @@ BULGE_SPACING = 3  # the least spacing that keeps bulges independent
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues sorted by (Re, Im) ascending, with per-pair residuals.
+    """Eigenvalues sorted by (Re, Im) ascending, with residuals.
 
-    When eigenvectors were computed, residuals[i] = ||M v - lambda v||_2
-    / ||M||_F; otherwise every entry carries the Schur backward-error
-    estimate ||Q T Q^H - M||_F / ||M||_F.
+    Engine "qr": every entry carries the Schur backward-error estimate
+    ||Q T Q^H - M||_F / ||M||_F.  Engine "numpy": residuals[i] =
+    ||M v_i - lambda_i v_i||_2 / ||M||_F for its unit eigenvector v_i.
     """
 
     eigenvalues: tuple
@@ -304,35 +303,13 @@ def _schur(a, max_iter_factor=MAX_ITER_FACTOR):
     return h, qt.T
 
 
-def _triangular_eigenvectors(t, q):
-    """Eigenvectors of A = Q T Q^H by back-substitution on T."""
-    n = t.shape[0]
-    tiny = np.finfo(float).eps * max(1.0, np.linalg.norm(t, ord="fro"))
-    vecs = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        lam = t[k, k]
-        y = np.zeros(n, dtype=complex)
-        y[k] = 1.0
-        for i in range(k - 1, -1, -1):
-            rhs = -t[i, k] - t[i, i + 1:k] @ y[i + 1:k]
-            denom = t[i, i] - lam
-            if abs(denom) < tiny:
-                denom = tiny
-            y[i] = rhs / denom
-        v = q @ y
-        vecs[:, k] = v / np.linalg.norm(v)
-    return vecs
-
-
-def eigenvalues(m, engine="qr", compute_vectors=False,
-                max_iter_factor=MAX_ITER_FACTOR):
+def eigenvalues(m, engine="qr", max_iter_factor=MAX_ITER_FACTOR):
     """All eigenvalues of a square complex matrix, as a SpectrumResult.
 
     Parameters
     ----------
     m : array_like, square, finite entries
     engine : "qr" (in-house reference) or "numpy" (platform adapter)
-    compute_vectors : compute eigenvectors and per-pair residuals
     max_iter_factor : the QR budget is max_iter_factor * n shifts
     """
     a = np.asarray(m, dtype=complex)
@@ -356,14 +333,9 @@ def eigenvalues(m, engine="qr", compute_vectors=False,
         raise ConfigError(f"unknown engine {engine!r}")
 
     t, q = _schur(a, max_iter_factor=max_iter_factor)
-    lams = np.diag(t).copy()
-    if compute_vectors:
-        vecs = _triangular_eigenvectors(t, q)
-        res = np.linalg.norm(a @ vecs - vecs * lams[None, :], axis=0) / norm
-    else:
-        backward = np.linalg.norm(q @ t @ q.conj().T - a, ord="fro") / norm
-        res = np.full(a.shape[0], backward)
-    return _assemble(lams, res, fingerprint, engine)
+    backward = np.linalg.norm(q @ t @ q.conj().T - a, ord="fro") / norm
+    return _assemble(np.diag(t), np.full(a.shape[0], backward), fingerprint,
+                     engine)
 
 
 def _assemble(lams, res, fingerprint, engine):

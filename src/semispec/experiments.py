@@ -56,7 +56,6 @@ class ExperimentConfig:
     rect: Rectangle | None = None
     window: tuple | None = None      # interior window on Re(lambda)
     out: str | None = None
-    pairing: str = "greedy"
     maslov: bool = True
     floquet_offset: float = 0.0
 
@@ -67,8 +66,9 @@ class ExperimentConfig:
             raise ConfigError("N must be >= 1")
         if self.epsilon is not None and self.delta is not None:
             raise ConfigError("give either epsilon or delta, not both")
-        if self.pairing not in ("greedy", "optimal"):
-            raise ConfigError(f"unknown pairing {self.pairing!r}")
+        if not math.isfinite(self.floquet_offset):
+            raise ConfigError(
+                f"floquet-offset must be finite, got {self.floquet_offset!r}")
         if self.window is not None:
             lo, hi = self.window
             if not lo < hi:
@@ -118,6 +118,8 @@ class ExperimentConfig:
         return (lo, hi)
 
     def canonical_text(self):
+        rect = ("auto" if self.rect is None
+                else ",".join(repr(v) for v in self.rect.as_tuple()))
         lines = [
             f"model = {self.model}",
             f"symbol = {self.symbol}",
@@ -125,15 +127,10 @@ class ExperimentConfig:
             f"hbar = {self.hbar_value()!r}",
             f"epsilon = {self.epsilon_value()!r}",
             f"window = {self.window_value()[0]!r},{self.window_value()[1]!r}",
-            f"pairing = {self.pairing}",
+            f"rect = {rect}",
             f"maslov = {'on' if self.maslov else 'off'}",
             f"floquet-offset = {self.floquet_offset!r}",
         ]
-        rect = self.rect
-        if rect is not None:
-            lines.insert(6, "rect = " + ",".join(repr(v) for v in rect.as_tuple()))
-        else:
-            lines.insert(6, "rect = auto")
         return "\n".join(lines) + "\n"
 
     def config_hash(self):
@@ -306,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
         prov = _provenance(cfg)
         reports = {}
         for mode, pred in predictions.items():
-            pairs = pair_spectra(in_window, pred.points, method=cfg.pairing)
+            pairs = pair_spectra(in_window, pred.points)
             summary = summarize_pairs(pairs, pred.points, in_window)
             reports[mode] = ComparisonReport(rule=pred.rule, mode=mode,
                                              pairs=tuple(pairs),
@@ -337,7 +334,6 @@ def result_report_dict(result: ExperimentResult):
             "epsilon": cfg.epsilon_value(),
             "window": list(cfg.window_value()),
             "rect": list(result.rect.as_tuple()),
-            "pairing": cfg.pairing,
             "rule": prediction_rule(cfg),
             "floquet_offset": cfg.floquet_offset,
         },

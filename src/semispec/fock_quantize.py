@@ -106,7 +106,6 @@ def quantize_plane(sym: PlaneSymbol, hbar: float, N: int, extra_padding: int = 0
         matrix=block,
         basis=Basis(kind="fock", N=N, padding=deg),
         hbar=float(hbar),
-        symbol_fingerprint=sym.fingerprint(),
     )
 
 

@@ -5,11 +5,11 @@ Serialization formats (stable, consumed by the CLI and the eigensolver):
 * JSON object::
 
       {"basis": "fourier" | "fock", "N": int, "padding": int,
-       "hbar": float, "symbol_fingerprint": str,
-       "rows": [[re, im, re, im, ...], ...]}
+       "hbar": float, "rows": [[re, im, re, im, ...], ...]}
 
   ``rows`` lists the matrix rows, each row flattened to interleaved
-  real/imaginary parts.
+  real/imaginary parts.  Other keys are ignored on reading, such as the
+  "symbol_fingerprint" that earlier versions wrote.
 
 * CSV: one matrix row per line, interleaved  re,im,re,im,...
 """
@@ -54,7 +54,6 @@ class TruncatedOperator:
     matrix: np.ndarray
     basis: Basis
     hbar: float
-    symbol_fingerprint: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -89,7 +88,6 @@ class TruncatedOperator:
             "N": self.basis.N,
             "padding": self.basis.padding,
             "hbar": self.hbar,
-            "symbol_fingerprint": self.symbol_fingerprint,
             "rows": rows,
         }
 
@@ -109,8 +107,7 @@ class TruncatedOperator:
             m[i] = flat[0::2] + 1j * flat[1::2]
         basis = Basis(kind=d["basis"], N=int(d["N"]),
                       padding=int(d.get("padding", 0)))
-        return cls(matrix=m, basis=basis, hbar=float(d["hbar"]),
-                   symbol_fingerprint=str(d.get("symbol_fingerprint", "")))
+        return cls(matrix=m, basis=basis, hbar=float(d["hbar"]))
 
     @classmethod
     def from_json(cls, text):

@@ -10,7 +10,6 @@ All types are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -109,15 +108,6 @@ class CircleSymbol:
                 acc = acc + n * c * np.exp(1j * m * theta) * I ** (n - 1)
         return acc
 
-    def fingerprint(self, eps):
-        h = hashlib.sha256()
-        h.update(b"circle")
-        h.update(repr(self.f_coeffs).encode())
-        h.update(repr(sorted((m, n, c.real, c.imag)
-                             for (m, n), c in self.q_terms.items())).encode())
-        h.update(repr(float(eps)).encode())
-        return h.hexdigest()
-
     def cylinder_map(self, eps):
         """Full symbol on the cylinder at a given eps, ready for the action
         machinery (value, dI-derivative, action-variable helpers)."""
@@ -199,14 +189,6 @@ class PlaneSymbol:
         while len(out) > 1 and out[-1] == 0.0:
             out.pop()
         return tuple(out)
-
-    def fingerprint(self):
-        h = hashlib.sha256()
-        h.update(b"plane")
-        h.update(repr(sorted((m, n, c) for (m, n), c in self.f_coeffs.items())).encode())
-        h.update(repr(sorted((m, n, c) for (m, n), c in self.q_coeffs.items())).encode())
-        h.update(repr(self.epsilon).encode())
-        return h.hexdigest()
 
 
 def _double_factorial(k):

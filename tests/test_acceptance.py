@@ -15,6 +15,7 @@ import pytest
 from semispec import (ActionMap, CircleSymbol, ExperimentConfig,
                       eigenvalues, eigenvalues_of, ladder, parse_circle,
                       pt_verify, run_experiment, weyl_monomial)
+from semispec.compare import directed_hausdorff
 from semispec.experiments import build_operator
 
 FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
@@ -28,11 +29,6 @@ def report(num, ok, detail):
     return ok
 
 
-def interior_max_dist(res):
-    pred = res.predictions["principal_exact"].values()
-    return max(np.abs(pred - c).min() for c in res.in_window)
-
-
 def test_criterion_1_exact_baselines():
     t0 = time.perf_counter()
     N = 66
@@ -40,13 +36,13 @@ def test_criterion_1_exact_baselines():
 
     circle = run_experiment(
         ExperimentConfig(model="circle", symbol="I", N=N), write=False)
-    target = hbar * np.arange(-N, N + 1)
-    circ_err = max(np.abs(target - z).min() for z in circle.spectrum.eigenvalues)
+    circ_err = directed_hausdorff(circle.spectrum.eigenvalues,
+                                  hbar * np.arange(-N, N + 1))
 
     line = run_experiment(
         ExperimentConfig(model="line", symbol="x^2 + xi^2", N=N), write=False)
-    target = hbar * (2 * np.arange(N + 1) + 1)
-    line_err = max(np.abs(target - z).min() for z in line.spectrum.eigenvalues)
+    line_err = directed_hausdorff(line.spectrum.eigenvalues,
+                                  hbar * (2 * np.arange(N + 1) + 1))
 
     elapsed = time.perf_counter() - t0
     ok = circ_err <= 1e-12 and line_err <= 1e-10 and elapsed < 5.0
@@ -76,7 +72,8 @@ def test_criterion_2_convergence_order_as_stated():
         res = run_experiment(
             ExperimentConfig(model="circle", symbol=FIG1, N=n, epsilon=0.1),
             write=False)
-        errs.append(interior_max_dist(res))
+        errs.append(directed_hausdorff(
+            res.in_window, res.predictions["principal_exact"].values()))
     elapsed = time.perf_counter() - t0
     hs = [1.0 / n for n in ns]
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -96,7 +93,8 @@ def test_convergence_feasible_range():
         res = run_experiment(
             ExperimentConfig(model="circle", symbol=FIG1, N=n, epsilon=0.1),
             write=False)
-        errs.append(interior_max_dist(res))
+        errs.append(directed_hausdorff(
+            res.in_window, res.predictions["principal_exact"].values()))
     order = float(np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs), 1)[0])
     print(f"\n[criterion 2 support] errors={[f'{e:.2e}' for e in errs]} "
           f"order={order:.2f}")
@@ -111,15 +109,13 @@ def test_criterion_3_averaged_predictor_at_reference_parameters():
     res = run_experiment(
         ExperimentConfig(model="circle", symbol=FIG1, N=N, delta=0.5),
         write=False)
-    lo, hi = res.config.window_value()
-    comp = [z for z in res.spectrum.eigenvalues
-            if lo <= z.real <= hi and res.rect.contains(z)]
-    averaged = res.predictions["averaged_first_order"].values()
     # the averaged predictor is exactly hbar k + i eps (hbar k)^2 here
     for k, lam in res.predictions["averaged_first_order"].points:
         assert lam == hbar * k + 1j * eps * (hbar * k) ** 2
-    avg_err = max(np.abs(averaged - c).min() for c in comp)
-    exact_err = interior_max_dist(res)
+    avg_err = directed_hausdorff(
+        res.in_window, res.predictions["averaged_first_order"].values())
+    exact_err = directed_hausdorff(
+        res.in_window, res.predictions["principal_exact"].values())
     budget = 5 * eps ** 2
     ok = avg_err <= budget and exact_err <= avg_err
     report(3, ok, f"averaged err={avg_err:.3e} (<= 5*eps^2={budget:.3e}), "
@@ -135,7 +131,8 @@ def test_criterion_4_maslov_rule_wins_on_the_line():
         res = run_experiment(
             ExperimentConfig(model="line", symbol=FIG5, N=66, delta=0.5,
                              maslov=maslov), write=False)
-        return interior_max_dist(res)
+        return directed_hausdorff(
+            res.in_window, res.predictions["principal_exact"].values())
 
     with_maslov = max_dist(True)
     without = max_dist(False)

@@ -9,19 +9,19 @@ from semispec.experiments import FIGURE_SYMBOLS, build_action_map, default_rect
 COS = {(1, 0): 0.5, (-1, 0): 0.5}
 
 
-def circle_map(f_coeffs, q_terms, eps, **kw):
+def circle_map(f_coeffs, q_terms, eps):
     return ActionMap(CircleSymbol(f_coeffs=f_coeffs, q_terms=q_terms)
-                     .cylinder_map(eps), **kw)
+                     .cylinder_map(eps))
 
 
-def oscillator_map(q_coeffs, eps, **kw):
+def oscillator_map(q_coeffs, eps):
     sym = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0},
                       q_coeffs=q_coeffs, epsilon=eps)
-    return ActionMap(pullback_action_angle(sym), **kw)
+    return ActionMap(pullback_action_angle(sym))
 
 
-def fig1_map(eps, **kw):
-    return circle_map((0.0, 1.0), {**COS, (0, 2): 1.0}, eps, **kw)
+def fig1_map(eps):
+    return circle_map((0.0, 1.0), {**COS, (0, 2): 1.0}, eps)
 
 
 SECTION4_MAPS = {

@@ -151,8 +151,7 @@ class TestErrors:
     def test_non_contiguous_matrix(self):
         op = quantize_circle(CircleSymbol(f_coeffs=(0.0, 1.0), q_terms=COS),
                              0.1, 0.25, 4)
-        kwargs = dict(basis=op.basis, hbar=op.hbar,
-                      symbol_fingerprint=op.symbol_fingerprint)
+        kwargs = dict(basis=op.basis, hbar=op.hbar)
         m = op.matrix.T
         assert not m.flags.c_contiguous
         got = TruncatedOperator(matrix=m, **kwargs)
@@ -166,8 +165,7 @@ class TestErrors:
         m = op.matrix.copy()
         m[1, 2] = complex(0.0, float("-inf"))
         with pytest.raises(DomainError):
-            TruncatedOperator(matrix=m, basis=op.basis, hbar=op.hbar,
-                              symbol_fingerprint=op.symbol_fingerprint)
+            TruncatedOperator(matrix=m, basis=op.basis, hbar=op.hbar)
 
 
 class TestSerialization:
@@ -178,7 +176,6 @@ class TestSerialization:
         assert np.array_equal(back.matrix, op.matrix)
         assert back.basis == op.basis
         assert back.hbar == op.hbar
-        assert back.symbol_fingerprint == op.symbol_fingerprint
 
     def test_csv_interleaved(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms=COS)
@@ -189,12 +186,6 @@ class TestSerialization:
         assert len(row0) == 6
         assert row0[0] == op.matrix[0, 0].real
         assert row0[1] == op.matrix[0, 0].imag
-
-    def test_fingerprint_tracks_eps(self):
-        sym = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms=COS)
-        a = quantize_circle(sym, 0.1, 0.5, 3)
-        b = quantize_circle(sym, 0.2, 0.5, 3)
-        assert a.symbol_fingerprint != b.symbol_fingerprint
 
     def test_matrix_immutable(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={})

@@ -7,6 +7,8 @@ from semispec.cli import _PARAMS, main
 
 FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
 FIG5 = "x^2 + xi^2 + i*epsilon*x^2"
+PREDICT_FIG = ["--model", "circle", "--symbol", "I + i*epsilon*cos(theta)",
+               "--N", "12", "--delta", "0.5"]
 
 
 def run(argv):
@@ -37,6 +39,23 @@ class TestQuantizeAndSpectrum:
         expected = sorted((2 * k + 1) / 6 for k in range(7))
         assert np.allclose(eigs, expected, atol=1e-12)
 
+    def test_spectrum_reads_symbol_fingerprint_key(self, tmp_path):
+        # operator.json files from earlier versions carry a
+        # "symbol_fingerprint" key; reading one gives the same spectrum
+        run(["quantize", "--model", "circle", "--symbol", FIG1, "--N", "6",
+             "--epsilon", "0.1", "--out", str(tmp_path)])
+        data = json.loads((tmp_path / "operator.json").read_text())
+        assert "symbol_fingerprint" not in data
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "operator.json").write_text(json.dumps(
+            {**data, "symbol_fingerprint": "0" * 64}, sort_keys=True) + "\n")
+        for out in (tmp_path, old):
+            assert run(["spectrum", "--matrix", str(out / "operator.json"),
+                        "--out", str(out)]) == 0
+        assert (old / "spectrum.csv").read_bytes() \
+            == (tmp_path / "spectrum.csv").read_bytes()
+
     def test_spectrum_from_symbol(self, tmp_path):
         code = run(["spectrum", "--model", "circle", "--symbol", "I",
                     "--N", "4", "--out", str(tmp_path)])
@@ -61,12 +80,6 @@ class TestPredictAndCompare:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["comparisons"]["principal_exact"]["summary"]["max_dist"] \
             <= 1e-10
-
-    def test_compare_optimal_pairing(self, tmp_path):
-        code = run(["compare", "--model", "circle", "--symbol", FIG1,
-                    "--N", "12", "--delta", "0.5", "--pairing", "optimal",
-                    "--out", str(tmp_path)])
-        assert code == 0
 
     def test_explicit_rect_and_window(self, tmp_path):
         code = run(["compare", "--model", "circle", "--symbol", "I",
@@ -110,8 +123,8 @@ class TestConfigFile:
 TABLE_VALUES = {
     "model": "circle", "symbol": FIG1, "N": "16", "hbar": "0.0625",
     "delta": "0.5", "epsilon": "0.05", "rect": "-0.4,0.4,-0.1,0.1",
-    "window": "-0.4,0.4", "out": None, "pairing": "optimal",
-    "maslov": "off", "floquet-offset": "0.25",
+    "window": "-0.4,0.4", "out": None, "maslov": "off",
+    "floquet-offset": "0.25",
 }
 BASE = {"model": "circle", "symbol": "I", "N": "12"}
 
@@ -196,9 +209,13 @@ class TestExitCodes:
          "--hbar", "nan", "--out", "{tmp}"],
         ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
          "--hbar", "inf", "--out", "{tmp}"],
+        ["predict", *PREDICT_FIG, "--rect=-inf,inf,-1,1", "--out", "{tmp}"],
+        ["predict", *PREDICT_FIG, "--floquet-offset=nan", "--out", "{tmp}"],
+        ["predict", *PREDICT_FIG, "--floquet-offset=inf", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "config-missing",
-            "hbar-nan", "hbar-inf"])
+            "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
+            "floquet-offset-inf"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
         (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
         (tmp_path / "no_basis.json").write_text(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from semispec import ConfigError, MatchedPair, pair_spectra
+from scipy.optimize import linear_sum_assignment
+
+from semispec import MatchedPair, pair_spectra
 from semispec.compare import directed_hausdorff, summarize_pairs
 
 
@@ -25,6 +27,22 @@ def reference_greedy_pairs(computed, predictions):
         pairs.append(MatchedPair(k=k, computed=complex(computed[i]),
                                  predicted=complex(lam_p),
                                  distance=float(dist)))
+    pairs.sort(key=lambda p: p.k)
+    return pairs
+
+
+def optimal_pairs(computed, predictions):
+    """The assignment of least total distance (Hungarian algorithm)."""
+    cost = np.empty((len(predictions), len(computed)))
+    for j, (_, lam_p) in enumerate(predictions):
+        cost[j] = np.abs(np.asarray(computed) - lam_p)
+    rows, cols = linear_sum_assignment(cost)
+    pairs = [
+        MatchedPair(k=predictions[j][0], computed=complex(computed[i]),
+                    predicted=complex(predictions[j][1]),
+                    distance=float(cost[j, i]))
+        for j, i in zip(rows, cols)
+    ]
     pairs.sort(key=lambda p: p.k)
     return pairs
 
@@ -54,8 +72,8 @@ class TestGreedyPairing:
         computed = [complex(x, 0.001 * x) for x in xs]
         predictions = [(k, complex(x + 0.01 * rng.uniform(-1, 1), 0.0))
                        for k, x in enumerate(xs)]
-        greedy = pair_spectra(computed, predictions, method="greedy")
-        optimal = pair_spectra(computed, predictions, method="optimal")
+        greedy = pair_spectra(computed, predictions)
+        optimal = optimal_pairs(computed, predictions)
         assert [(p.k, p.computed) for p in greedy] \
             == [(p.k, p.computed) for p in optimal]
 
@@ -80,10 +98,6 @@ class TestGreedyPairing:
         assert [p.distance.hex() for p in got] \
             == [p.distance.hex() for p in want]
 
-    def test_unknown_method(self):
-        with pytest.raises(ConfigError):
-            pair_spectra([0j], [(0, 0j)], method="random")
-
 
 class TestSummary:
     def test_mean_le_max(self, rng):
@@ -95,7 +109,7 @@ class TestSummary:
         assert summary.count_in_window == 10
 
     def test_directed_hausdorff(self):
-        predictions = [(0, 0.0 + 0j), (1, 1.0 + 0j)]
+        predictions = [0.0 + 0j, 1.0 + 0j]
         computed = [0.1 + 0j, 1.05 + 0j, 7.0 + 0j]
         assert directed_hausdorff(predictions, computed) == pytest.approx(0.1)
         assert directed_hausdorff([], computed) == 0.0

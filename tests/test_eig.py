@@ -121,11 +121,6 @@ class TestDiagnostics:
         assert res.tolerance <= 1e-13
         assert len(res.residuals) == 20
 
-    def test_eigenvector_residuals(self, rng):
-        m = random_complex(rng, 15)
-        res = eigenvalues(m, compute_vectors=True)
-        assert max(res.residuals) <= 1e-12
-
     def test_numpy_engine_agrees(self, rng):
         m = random_complex(rng, 18)
         a = eigenvalues(m, engine="qr").eigenvalues

@@ -333,8 +333,9 @@ def eigenvalues(m, engine="qr", max_iter_factor=MAX_ITER_FACTOR):
         raise ConfigError(f"unknown engine {engine!r}")
 
     t, q = _schur(a, max_iter_factor=max_iter_factor)
-    # The copy goes before the n x n temporaries below: taken after them,
-    # it raised the peak RSS of a loop that keeps its results by 0.5 MB.
+    # Copied before the n x n temporaries below: copied after them, the
+    # peak RSS of running the N=24..132 circle scan three times in one
+    # process, keeping every result, rose by 0.5 MB.
     lams = np.diag(t).copy()
     backward = np.linalg.norm(q @ t @ q.conj().T - a, ord="fro") / norm
     return _assemble(lams, np.full(a.shape[0], backward), fingerprint, engine)

@@ -13,10 +13,8 @@ and its derivative follows from implicit differentiation,
     d action / dE = (1/M) * sum_j 1 / (dp/dI)(theta_j, l_j).
 
 Grid solve.  The loops of a batch of energies come from one vectorized
-complex Newton on the whole (nodes x energies) grid.  A fresh solve
-starts every node from the energy's real seed, the real root of the
-unperturbed part; inside an inversion each step starts from the
-previous step's loops.
+complex Newton on the whole (nodes x energies) grid, started at every
+node from the energy's real seed, the real root of the unperturbed part.
 
 Branch check.  On a smooth periodic loop the Fourier coefficients decay
 exponentially, so those at |k| >= M/4 sit at rounding level and bound
@@ -27,12 +25,22 @@ closure tolerance 1e-10 * (1 + max|I|), falls back to node-to-node
 continuation from its node-0 start, whose wrap-around step back to
 theta = 2*pi must land on node 0 within that same tolerance.
 
-Inverting E -> action(E) by Newton yields the eigenvalue generator g:
-predicted spectra are g(hbar*k) on the circle and g(hbar*(k + 1/2)) on
-the line, where the half-integer shift accounts for the turning points
-of closed orbits on the real line.  Targets are inverted in blocks of
-GRID_BLOCK, which bounds the grid's working memory; a target's result
-does not depend on the other targets, up to rounding in the sums.
+Inverting E -> action(E) yields the eigenvalue generator g: predicted
+spectra are g(hbar*k) on the circle and g(hbar*(k + 1/2)) on the line,
+where the half-integer shift accounts for the turning points of closed
+orbits on the real line.  For a target t, one Newton solves for the
+loop and the energy together,
+
+    p(theta_j, I_j) = E  for every node j,    (1/M) * sum_j I_j = t,
+
+starting from the real seed nearest t.  Its Jacobian is diagonal in the
+loop with one border row and column, so each step is closed-form and
+costs one evaluation of p and one of dp/dI on the grid.  The converged
+loop then passes the checked grid solve above, and its mean must meet t
+within INVERSION_TOL.  Targets are inverted in blocks of GRID_BLOCK,
+which bounds the grid's working memory; a converged target is frozen, so
+its result does not depend on the other targets, up to rounding in the
+sums.
 """
 
 from __future__ import annotations
@@ -213,24 +221,21 @@ class ActionMap:
                 f"level loop does not close: max |I_M - I_0| = {gap.max():.3e}")
         return out
 
-    def _solve_levels(self, energies, near=None, start=None):
+    def _solve_levels(self, energies, start=None):
         """Sampled loops I(theta_j) for a batch of energies.
 
         Returns an array of shape (num_nodes, len(energies)).  One Newton
-        solve covers the whole grid.  It starts from ``start`` (a previous
-        grid of the same shape) or else, at every node, from the energy's
-        real seed: the real root of the unperturbed part nearest
-        ``near[i]`` (smallest in modulus for None).  An energy whose grid
-        Newton fails, or whose loop has a Fourier tail above the closure
-        tolerance (a node left the branch of node 0), is solved again by
-        continuation from its node-0 start, which keeps the closure check.
+        solve covers the whole grid.  It starts from ``start`` (a grid of
+        the same shape) or else, at every node, from the energy's real
+        seed: the real root of the unperturbed part smallest in modulus.
+        An energy whose grid Newton fails, or whose loop has a Fourier
+        tail above the closure tolerance (a node left the branch of node
+        0), is solved again by continuation from its node-0 start, which
+        keeps the closure check.
         """
         energies = np.atleast_1d(np.asarray(energies, dtype=complex))
         if start is None:
-            if near is None:
-                near = [None] * energies.size
-            seeds = [self.cyl.seed_action(e.real, near=n)
-                     for e, n in zip(energies, near)]
+            seeds = [self.cyl.seed_action(e.real) for e in energies]
             start = np.broadcast_to(np.asarray(seeds, dtype=complex),
                                     (self.num_nodes, energies.size))
         levels, converged, regular = self._newton_grid(
@@ -269,25 +274,37 @@ class ActionMap:
                                for i in range(0, targets.size, GRID_BLOCK)])
 
     def _invert_block(self, targets):
-        """Newton on E -> action(E) for a block of targets.  The first
-        step seeds the loops at the real inverse nearest the target; each
-        later step starts from the previous step's loops, and the loops at
-        the last E serve the final miss check."""
-        E = np.asarray(self.cyl.f_action(targets), dtype=complex).copy()
-        levels = None
-        for step in range(NEWTON_MAX_ITER + 1):
-            levels = self._solve_levels(E, targets.real, start=levels)
-            r = levels.mean(axis=0) - targets
-            done = np.abs(r) <= NEWTON_TOL
-            if np.all(done) or step == NEWTON_MAX_ITER:
-                break
-            d = self._d_action(levels)
-            small = ~done & (np.abs(d) < DERIVATIVE_FLOOR)
-            if np.any(small):
-                raise DegeneracyError(
-                    "|d action/dE| below 1e-10: action map degenerate here")
-            E = np.where(done, E, E - r / d)
-        err = np.abs(r)
+        """Bordered Newton on (loops, E) for a block of targets (see the
+        module docstring).  With r = p - E, w = 1/p_I and miss = mean(I) -
+        target, a step is dE = (mean(w*r) - miss) / mean(w), then
+        I += (dE - r)*w.  A converged target is frozen, so its iterates
+        depend on its own column alone."""
+        E = np.asarray(self.cyl.f_action(targets), dtype=complex)
+        seeds = [self.cyl.seed_action(e.real, near=t.real)
+                 for e, t in zip(E, targets)]
+        thetas = self.thetas()[:, None]
+        I = np.empty((self.num_nodes, targets.size), dtype=complex)
+        I[:] = seeds
+        done = np.zeros(targets.size, dtype=bool)
+        with np.errstate(all="ignore"):
+            for _ in range(NEWTON_MAX_ITER):
+                r = self.cyl.value(thetas, I) - E
+                miss = I.mean(axis=0) - targets
+                done |= (np.all(np.abs(r) <= NEWTON_TOL * (1.0 + np.abs(E)),
+                                axis=0)
+                         & (np.abs(miss) <= NEWTON_TOL))
+                if np.all(done):
+                    break
+                w = 1.0 / self.cyl.d_dI(thetas, I)
+                d = w.mean(axis=0)
+                if np.any(~done & (np.abs(d) < DERIVATIVE_FLOOR)):
+                    raise DegeneracyError(
+                        "|d action/dE| below 1e-10: action map degenerate "
+                        "here")
+                dE = np.where(done, 0.0, ((w * r).mean(axis=0) - miss) / d)
+                E = E + dE
+                I = np.where(done, I, I + (dE - r) * w)
+        err = np.abs(self._solve_levels(E, start=I).mean(axis=0) - targets)
         if np.any(err > INVERSION_TOL):
             raise InversionError(
                 f"action inversion missed target by {err.max():.3e}")

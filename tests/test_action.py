@@ -4,7 +4,8 @@ import pytest
 from semispec import (ActionMap, CircleSymbol, ConfigError, CriticalLevelError,
                       ExperimentConfig, InversionError, PlaneSymbol, Rectangle,
                       parse_circle, predict_spectrum, pullback_action_angle)
-from semispec.experiments import FIGURE_SYMBOLS, build_action_map, default_rect
+from semispec.experiments import (FIGURE_SYMBOLS, build_action_map,
+                                  default_rect, prediction_rule)
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}
 
@@ -22,6 +23,50 @@ def oscillator_map(q_coeffs, eps):
 
 def fig1_map(eps):
     return circle_map((0.0, 1.0), {**COS, (0, 2): 1.0}, eps)
+
+
+def fold_map():
+    # f = I^3 - I folds at I = 1/sqrt(3), where f = -0.3849
+    return ActionMap(parse_circle("I^3 - I + i*epsilon*cos(theta)")
+                     .cylinder_map(0.05))
+
+
+class CountingCylinder:
+    """A cylinder map that counts its value and d_dI evaluations."""
+
+    def __init__(self, cyl):
+        self.cyl = cyl
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.cyl, name)
+
+    def value(self, theta, I):
+        self.calls += 1
+        return self.cyl.value(theta, I)
+
+    def d_dI(self, theta, I):
+        self.calls += 1
+        return self.cyl.d_dI(theta, I)
+
+
+def figure_predictions(model, symbol):
+    """principal_exact prediction of a figure symbol at N=66, with its
+    action map (cylinder wrapped in CountingCylinder) and the quantized
+    action of each point."""
+    cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
+    am = build_action_map(cfg)
+    rect = default_rect(cfg, am)
+    am.cyl = CountingCylinder(am.cyl)
+    rule = prediction_rule(cfg)
+    pred = predict_spectrum(am, cfg.hbar_value(), rule, "principal_exact",
+                            rect)
+    half = 0.5 if rule == "line_maslov" else 0.0
+    return am, pred, [cfg.hbar_value() * (k + half) for k, _ in pred.points]
+
+
+FIGURE_MAPS = sorted({(model, symbol)
+                      for model, symbol, _ in FIGURE_SYMBOLS.values()})
 
 
 SECTION4_MAPS = {
@@ -80,8 +125,7 @@ def fallbacks(monkeypatch):
 
 
 class TestGridSolve:
-    @pytest.mark.parametrize("model,symbol", sorted(
-        {(model, symbol) for model, symbol, _ in FIGURE_SYMBOLS.values()}))
+    @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
     def test_grid_matches_continuation(self, model, symbol, fallbacks):
         cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
         am = build_action_map(cfg)
@@ -116,15 +160,14 @@ class TestGridSolve:
         targets = np.linspace(0.1, 0.7, 41)
         batch = am._invert_batch(targets)
         for i in (0, 17, 40):
-            assert abs(am.invert_action(targets[i]) - batch[i]) <= 1e-12
+            assert abs(am.invert_action(targets[i]) - batch[i]) <= 1e-15
 
     def test_closure_tolerance_scales_with_loop_size(self):
         # f = I^3 - I folds at I = 1/sqrt(3), next to the target 0.5: the
         # inversion misses, and must say so, not fail the closure check of
         # a loop with |I| ~ 400 whose wrap-around gap (1.25e-10) is
         # rounding relative to its size
-        am = ActionMap(parse_circle("I^3 - I + i*epsilon*cos(theta)")
-                       .cylinder_map(0.05))
+        am = fold_map()
         with pytest.raises(InversionError):
             am.invert_action(0.5)
         E = -64162567.75188988 - 3.48462792e-07j
@@ -230,6 +273,49 @@ class TestInversion:
         am = fig1_map(0.0)
         for I in rng.uniform(0.1, 0.8, size=8):
             assert abs(am.invert_action(I).imag) <= 1e-12
+
+    def test_fold_boundary(self):
+        # on the branch through the fold the action peaks near 0.4842, at
+        # E = -0.384 (a scan of E over [-0.40, -0.33] x [-0.06, 0.06]i):
+        # 0.484 has an inverse, 0.49 and 0.5 have none and must fail
+        # fast (about 2,100 evaluations each; Newton on E around a full
+        # level-set Newton per step took about 100,000)
+        am = fold_map()
+        g = am.invert_action(0.484)
+        assert abs(am.action_integral(g) - 0.484) <= 1e-10
+        am.cyl = CountingCylinder(am.cyl)
+        for target in (0.49, 0.5):
+            am.cyl.calls = 0
+            with pytest.raises(InversionError):
+                am.invert_action(target)
+            assert am.cyl.calls <= 3000
+
+    @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
+    def test_evaluations_per_block(self, model, symbol, fallbacks,
+                                   monkeypatch):
+        # one value and one d_dI per bordered Newton step, plus the final
+        # checked solve: at most 9 per block of GRID_BLOCK targets measured
+        # here (5 for x^2 + xi^2 + i*epsilon*x^2); Newton on E with a full
+        # level-set Newton per step took about 28
+        blocks = []
+        original = ActionMap._invert_block
+
+        def recording(self, targets):
+            blocks.append(targets.size)
+            return original(self, targets)
+
+        monkeypatch.setattr(ActionMap, "_invert_block", recording)
+        am, pred, _ = figure_predictions(model, symbol)
+        assert len(pred.points) >= 50
+        assert not fallbacks
+        assert am.cyl.calls <= 10 * len(blocks)
+
+    @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
+    def test_predictions_meet_quantized_action(self, model, symbol):
+        # worst case measured 2.5e-13 (I + i*epsilon*(cos(theta) + I^3))
+        am, pred, actions = figure_predictions(model, symbol)
+        for (_, g), action in zip(pred.points, actions):
+            assert abs(am.action_integral(g) - action) <= 5e-13
 
 
 class TestPredictions:

@@ -259,11 +259,8 @@ class ActionMap:
     def action_derivative(self, E):
         """d action / dE via the implicit function theorem."""
         levels = self._solve_levels([complex(E)])
-        return complex(self._d_action(levels)[0])
-
-    def _d_action(self, levels):
-        thetas = self.thetas()[:, None]
-        return (1.0 / self.cyl.d_dI(thetas, levels)).mean(axis=0)
+        w = 1.0 / self.cyl.d_dI(self.thetas()[:, None], levels)
+        return complex(w.mean(axis=0)[0])
 
     # -- inversion ----------------------------------------------------
 

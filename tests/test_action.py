@@ -278,8 +278,7 @@ class TestInversion:
         # on the branch through the fold the action peaks near 0.4842, at
         # E = -0.384 (a scan of E over [-0.40, -0.33] x [-0.06, 0.06]i):
         # 0.484 has an inverse, 0.49 and 0.5 have none and must fail
-        # fast (about 2,100 evaluations each; Newton on E around a full
-        # level-set Newton per step took about 100,000)
+        # fast (measured: about 2,100 evaluations each)
         am = fold_map()
         g = am.invert_action(0.484)
         assert abs(am.action_integral(g) - 0.484) <= 1e-10
@@ -294,9 +293,8 @@ class TestInversion:
     def test_evaluations_per_block(self, model, symbol, fallbacks,
                                    monkeypatch):
         # one value and one d_dI per bordered Newton step, plus the final
-        # checked solve: at most 9 per block of GRID_BLOCK targets measured
-        # here (5 for x^2 + xi^2 + i*epsilon*x^2); Newton on E with a full
-        # level-set Newton per step took about 28
+        # checked solve: measured at most 9 per block of GRID_BLOCK targets
+        # (5 for x^2 + xi^2 + i*epsilon*x^2)
         blocks = []
         original = ActionMap._invert_block
 

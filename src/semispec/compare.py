@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedPair:
     k: int
     computed: complex

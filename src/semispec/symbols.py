@@ -37,10 +37,6 @@ def _polyval(coeffs, z):
     return acc
 
 
-def _polyder(coeffs):
-    return tuple(n * c for n, c in enumerate(coeffs))[1:] or (0.0,)
-
-
 @dataclass(frozen=True)
 class CircleSymbol:
     """Symbol f(I) + i*eps*q(theta, I) on the cylinder.
@@ -88,9 +84,6 @@ class CircleSymbol:
     def f_value(self, I):
         return _polyval(self.f_coeffs, I)
 
-    def f_derivative(self, I):
-        return _polyval(_polyder(self.f_coeffs), I)
-
     def q_value(self, theta, I):
         theta = np.asarray(theta, dtype=complex)
         I = np.asarray(I, dtype=complex)
@@ -99,18 +92,9 @@ class CircleSymbol:
             acc = acc + c * np.exp(1j * m * theta) * I ** n
         return acc
 
-    def q_dI(self, theta, I):
-        theta = np.asarray(theta, dtype=complex)
-        I = np.asarray(I, dtype=complex)
-        acc = np.zeros(np.broadcast(theta, I).shape, dtype=complex)
-        for (m, n), c in self.q_terms.items():
-            if n > 0:
-                acc = acc + n * c * np.exp(1j * m * theta) * I ** (n - 1)
-        return acc
-
     def cylinder_map(self, eps):
         """Full symbol on the cylinder at a given eps, ready for the action
-        machinery (value, dI-derivative, action-variable helpers)."""
+        machinery (value with its dI-derivative, action-variable helpers)."""
         return _CircleCylinderMap(self, float(eps))
 
 
@@ -162,19 +146,6 @@ class PlaneSymbol:
         for (m, n), c in self.q_coeffs.items():
             acc = acc + c * x ** m * xi ** n
         return acc
-
-    def q_gradient(self, x, xi):
-        """(dq/dx, dq/dxi)."""
-        x = np.asarray(x, dtype=complex)
-        xi = np.asarray(xi, dtype=complex)
-        gx = np.zeros(np.broadcast(x, xi).shape, dtype=complex)
-        gxi = np.zeros_like(gx)
-        for (m, n), c in self.q_coeffs.items():
-            if m > 0:
-                gx = gx + m * c * x ** (m - 1) * xi ** n
-            if n > 0:
-                gxi = gxi + n * c * x ** m * xi ** (n - 1)
-        return gx, gxi
 
     def q_average_coeffs(self):
         """theta-average of q in action-angle coordinates, as a polynomial
@@ -260,7 +231,8 @@ def pullback_action_angle(sym: PlaneSymbol):
 
 
 class _CylinderMapBase:
-    """Common surface: value/d_dI broadcast over numpy arrays; the
+    """Common surface: value_and_dI(theta, I) returns (p, dp/dI) in one
+    pass, broadcast over numpy arrays, and value is its first half; the
     f_action_* helpers expose the theta-independent part as a polynomial
     of the action variable for seeding and for the averaged predictor.
     ``min_action`` bounds the chart domain from below (None: whole line).
@@ -270,6 +242,9 @@ class _CylinderMapBase:
     f_action_coeffs: tuple[float, ...]
     q_average: tuple[float, ...]
     min_action: float | None = None
+
+    def value(self, theta, I):
+        return self.value_and_dI(theta, I)[0]
 
     def f_action(self, I):
         return _polyval(self.f_action_coeffs, I)
@@ -293,20 +268,38 @@ class _CylinderMapBase:
         return float(min(real, key=lambda r: abs(r - near)))
 
 
+def _horner_with_derivative(coeffs, z):
+    """(sum a_n z**n, sum n a_n z**(n-1)) for coefficients that may be
+    arrays broadcasting against z."""
+    value, slope = coeffs[-1], 0j
+    for a in reversed(coeffs[:-1]):
+        slope = slope * z + value
+        value = value * z + a
+    shape = np.broadcast(value, z).shape
+    return np.broadcast_to(value, shape), np.broadcast_to(slope, shape)
+
+
 class _CircleCylinderMap(_CylinderMapBase):
     def __init__(self, sym, eps):
         self.sym = sym
         self.eps = eps
         self.f_action_coeffs = sym.f_coeffs if sym.f_coeffs else (0.0,)
         self.q_average = theta_average(sym)
+        self.degree = max([len(sym.f_coeffs) - 1]
+                          + [n for _, n in sym.q_terms])
 
-    def value(self, theta, I):
-        return self.sym.f_value(np.asarray(I, dtype=complex)) \
-            + 1j * self.eps * self.sym.q_value(theta, I)
-
-    def d_dI(self, theta, I):
-        return self.sym.f_derivative(np.asarray(I, dtype=complex)) \
-            + 1j * self.eps * self.sym.q_dI(theta, I)
+    def value_and_dI(self, theta, I):
+        """p = sum_n a_n(theta) I**n with a_n = f_n + i*eps*sum_m q[m, n]
+        e^{i m theta}: the coefficients cost one pass over theta, and one
+        Horner sweep over I gives p and dp/dI together."""
+        theta = np.asarray(theta, dtype=complex)
+        I = np.asarray(I, dtype=complex)
+        f = self.sym.f_coeffs
+        coeffs = [complex(f[n]) if n < len(f) else 0j
+                  for n in range(self.degree + 1)]
+        for (m, n), c in self.sym.q_terms.items():
+            coeffs[n] = coeffs[n] + 1j * self.eps * c * np.exp(1j * m * theta)
+        return _horner_with_derivative(coeffs, I)
 
 
 class _OscillatorCylinderMap(_CylinderMapBase):
@@ -318,23 +311,20 @@ class _OscillatorCylinderMap(_CylinderMapBase):
         self.eps = sym.epsilon
         self.q_average = sym.q_average_coeffs()
 
-    @staticmethod
-    def _chart(theta, I):
+    def value_and_dI(self, theta, I):
+        """Through the chart x = r cos(theta), xi = -r sin(theta) with
+        r = sqrt(2I), q = sum_d C_d(theta) r**d where C_d collects the
+        terms of total degree d; then p = 2I + i*eps*q and, as dr/dI = 1/r,
+        dp/dI = 2 + i*eps*(dq/dr)/r."""
         I = np.asarray(I, dtype=complex)
         on_cut = (I.imag == 0.0) & (I.real <= 0.0)
         if np.any(on_cut):
             raise BranchCutError("action value on the branch cut (real I <= 0)")
         r = np.sqrt(2.0 * I)
         theta = np.asarray(theta, dtype=complex)
-        return r * np.cos(theta), -r * np.sin(theta), r
-
-    def value(self, theta, I):
-        x, xi, _ = self._chart(theta, I)
-        return self.sym.f_value(x, xi) + 1j * self.eps * self.sym.q_value(x, xi)
-
-    def d_dI(self, theta, I):
-        x, xi, r = self._chart(theta, I)
-        gx, gxi = self.sym.q_gradient(x, xi)
-        theta = np.asarray(theta, dtype=complex)
-        dq = (gx * np.cos(theta) - gxi * np.sin(theta)) / r
-        return 2.0 + 1j * self.eps * dq
+        cos, msin = np.cos(theta), -np.sin(theta)
+        coeffs = [0j] * (self.sym.degree + 1)
+        for (m, n), c in self.sym.q_coeffs.items():
+            coeffs[m + n] = coeffs[m + n] + c * cos ** m * msin ** n
+        q, dq_dr = _horner_with_derivative(coeffs, r)
+        return 2.0 * I + 1j * self.eps * q, 2.0 + 1j * self.eps * dq_dr / r

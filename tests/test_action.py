@@ -4,6 +4,7 @@ import pytest
 from semispec import (ActionMap, CircleSymbol, ConfigError, CriticalLevelError,
                       ExperimentConfig, InversionError, PlaneSymbol, Rectangle,
                       parse_circle, predict_spectrum, pullback_action_angle)
+from semispec.action import DEFAULT_NODES
 from semispec.experiments import (FIGURE_SYMBOLS, build_action_map,
                                   default_rect, prediction_rule)
 
@@ -32,7 +33,8 @@ def fold_map():
 
 
 class CountingCylinder:
-    """A cylinder map that counts its value and d_dI evaluations."""
+    """A cylinder map that counts its evaluations on the grid: a fused
+    value_and_dI call counts as two, one of p and one of dp/dI."""
 
     def __init__(self, cyl):
         self.cyl = cyl
@@ -45,17 +47,18 @@ class CountingCylinder:
         self.calls += 1
         return self.cyl.value(theta, I)
 
-    def d_dI(self, theta, I):
-        self.calls += 1
-        return self.cyl.d_dI(theta, I)
+    def value_and_dI(self, theta, I):
+        self.calls += 2
+        return self.cyl.value_and_dI(theta, I)
 
 
-def figure_predictions(model, symbol):
-    """principal_exact prediction of a figure symbol at N=66, with its
-    action map (cylinder wrapped in CountingCylinder) and the quantized
-    action of each point."""
-    cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
+def figure_predictions(model, symbol, N=66, num_nodes=DEFAULT_NODES):
+    """principal_exact prediction of a figure symbol, with its action map
+    (cylinder wrapped in CountingCylinder) and the quantized action of
+    each point."""
+    cfg = ExperimentConfig(model=model, symbol=symbol, N=N, delta=0.5)
     am = build_action_map(cfg)
+    am.num_nodes = num_nodes
     rect = default_rect(cfg, am)
     am.cyl = CountingCylinder(am.cyl)
     rule = prediction_rule(cfg)
@@ -116,11 +119,25 @@ def fallbacks(monkeypatch):
     calls = []
     original = ActionMap._continue_levels
 
-    def recording(self, energies, seeds):
+    def recording(self, energies, seeds, num_nodes):
         calls.append(energies.copy())
-        return original(self, energies, seeds)
+        return original(self, energies, seeds, num_nodes)
 
     monkeypatch.setattr(ActionMap, "_continue_levels", recording)
+    return calls
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Shapes of every loop grid handed to a doubled grid."""
+    calls = []
+    original = ActionMap._interpolate
+
+    def recording(levels):
+        calls.append(levels.shape)
+        return original(levels)
+
+    monkeypatch.setattr(ActionMap, "_interpolate", staticmethod(recording))
     return calls
 
 
@@ -137,7 +154,7 @@ class TestGridSolve:
         assert not fallbacks
         seeds = np.array([am.cyl.seed_action(e.real) for e in energies],
                          dtype=complex)
-        chain = am._continue_levels(energies, seeds)
+        chain = am._continue_levels(energies, seeds, am.num_nodes)
         assert np.abs(grid - chain).max() <= 1e-11
 
     def test_branch_check_sends_one_energy_to_continuation(self, fallbacks):
@@ -151,7 +168,8 @@ class TestGridSolve:
         levels = am._solve_levels(energies, start=start)
         assert len(fallbacks) == 1
         assert fallbacks[0].tolist() == [energies[1]]
-        chain = am._continue_levels(energies[1:2], start[0, 1:2])
+        chain = am._continue_levels(energies[1:2], start[0, 1:2],
+                                    am.num_nodes)
         assert np.array_equal(levels[:, 1], chain[:, 0])
         assert np.abs(levels[:, [0, 2]] - start[:, [0, 2]]).max() <= 1e-12
 
@@ -161,6 +179,18 @@ class TestGridSolve:
         batch = am._invert_batch(targets)
         for i in (0, 17, 40):
             assert abs(am.invert_action(targets[i]) - batch[i]) <= 1e-15
+
+    def test_interpolation_keeps_band_limited_loops(self):
+        # exp(3i theta) - 2 cos(5 theta) + cos(16 theta) on 32 nodes, with
+        # its Nyquist mode split evenly, is the same loop on 64 nodes
+        def loop(m):
+            t = 2 * np.pi * np.arange(m) / m
+            return np.exp(3j * t) - 2 * np.cos(5 * t) + np.cos(16 * t)
+
+        fine = ActionMap._interpolate(np.stack([loop(32), 2j * loop(32)], 1))
+        assert fine.shape == (64, 2)
+        assert np.abs(fine[:, 0] - loop(64)).max() <= 1e-13
+        assert np.abs(fine[:, 1] - 2j * loop(64)).max() <= 1e-13
 
     def test_closure_tolerance_scales_with_loop_size(self):
         # f = I^3 - I folds at I = 1/sqrt(3), next to the target 0.5: the
@@ -172,7 +202,7 @@ class TestGridSolve:
             am.invert_action(0.5)
         E = -64162567.75188988 - 3.48462792e-07j
         seed = np.array([am.cyl.seed_action(E.real)], dtype=complex)
-        loop = am._continue_levels(np.array([E]), seed)[:, 0]
+        loop = am._continue_levels(np.array([E]), seed, am.num_nodes)[:, 0]
         assert np.abs(loop).max() > 400
         assert abs(am.action_integral(E) - loop.mean()) <= 1e-10
 
@@ -194,7 +224,8 @@ class TestActionIntegral:
             == pytest.approx(0.5)
 
     def test_quadrature_convergence_all_section4_symbols(self):
-        # analytic periodic integrand: 256 nodes is far past the knee
+        # analytic periodic integrand: the starting 128 nodes already meet
+        # the Fourier-tail check here, so 512 nodes move nothing
         for name, factory in SECTION4_MAPS.items():
             for eps in (0.1, 0.2):
                 coarse = factory(eps)
@@ -278,7 +309,7 @@ class TestInversion:
         # on the branch through the fold the action peaks near 0.4842, at
         # E = -0.384 (a scan of E over [-0.40, -0.33] x [-0.06, 0.06]i):
         # 0.484 has an inverse, 0.49 and 0.5 have none and must fail
-        # fast (measured: about 2,100 evaluations each)
+        # fast (measured: 2,112 and 1,136 evaluations)
         am = fold_map()
         g = am.invert_action(0.484)
         assert abs(am.action_integral(g) - 0.484) <= 1e-10
@@ -289,12 +320,23 @@ class TestInversion:
                 am.invert_action(target)
             assert am.cyl.calls <= 3000
 
+    def test_fold_target_refines_to_accuracy(self):
+        # the 128-node loop of 0.484 has a Fourier tail of 1.5e-4, and its
+        # loops resolve only at 2048 nodes (tail 1.4e-10): the inverse must
+        # meet the action of a 4096-node reference, where an inversion that
+        # keeps the under-resolved loop misses it by 5e-6 (1.3e-7 at 256)
+        g = fold_map().invert_action(0.484)
+        fine = fold_map()
+        fine.num_nodes = 4096
+        assert abs(fine.action_integral(g) - 0.484) <= 1e-12
+
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
     def test_evaluations_per_block(self, model, symbol, fallbacks,
                                    monkeypatch):
-        # one value and one d_dI per bordered Newton step, plus the final
-        # checked solve: measured at most 9 per block of GRID_BLOCK targets
-        # (5 for x^2 + xi^2 + i*epsilon*x^2)
+        # one fused value_and_dI (two evaluations) per bordered Newton
+        # step and one to confirm convergence, whose p_I also serves the
+        # Jacobian check: measured at most 8 per block of 32 targets (4
+        # for x^2 + xi^2 + i*epsilon*x^2)
         blocks = []
         original = ActionMap._invert_block
 
@@ -307,6 +349,20 @@ class TestInversion:
         assert len(pred.points) >= 50
         assert not fallbacks
         assert am.cyl.calls <= 10 * len(blocks)
+
+    @pytest.mark.parametrize("N", (66, 132))
+    @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
+    def test_predictions_match_finer_grid(self, model, symbol, N, fallbacks,
+                                          refinements):
+        # every figure loop is resolved on the starting grid: no target is
+        # refined or continued, and 1024 nodes move no point by more than
+        # rounding (measured at most 1.0e-14 against 256 nodes)
+        _, coarse, _ = figure_predictions(model, symbol, N)
+        _, fine, _ = figure_predictions(model, symbol, N, num_nodes=1024)
+        assert not fallbacks
+        assert not refinements
+        assert [k for k, _ in coarse.points] == [k for k, _ in fine.points]
+        assert np.abs(coarse.values() - fine.values()).max() <= 1e-13
 
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
     def test_predictions_meet_quantized_action(self, model, symbol):
@@ -382,6 +438,20 @@ class TestPredictions:
             predict_spectrum(am, 0.1, "torus", "principal_exact", rect)
         with pytest.raises(ConfigError):
             predict_spectrum(am, 0.1, "circle_k", "exactish", rect)
+
+    def test_contains_is_elementwise(self):
+        # the array form decides every point as the scalar chained
+        # comparisons do, edges (closed) and NaN included
+        rect = Rectangle(-0.5, 0.25, -0.1, 0.125)
+        re = np.array([-0.5, 0.25, -0.5000001, 0.2500001, 0.0, np.nan])
+        im = np.array([-0.1, 0.125, 0.0, 0.0, np.nan, 0.0])
+        z = (re[:, None] + 1j * im[None, :]).ravel()
+        mask = rect.contains(z)
+        assert mask.shape == z.shape
+        assert mask.tolist() == [bool(-0.5 <= v.real <= 0.25
+                                      and -0.1 <= v.imag <= 0.125)
+                                 for v in z]
+        assert rect.contains(0.25 + 0.125j) and not rect.contains(1.0)
 
     def test_empty_rectangle_rejected(self):
         with pytest.raises(ConfigError):

@@ -186,6 +186,54 @@ class TestPullback:
             cyl.value(0.0, 0.0)
 
 
+class TestFusedEvaluation:
+    """value_and_dI against the scalar evaluators and central differences
+    of value, at random complex (theta, I)."""
+
+    @staticmethod
+    def _check(cyl, p_oracle, rng):
+        h = 1e-5
+        for _ in range(20):
+            theta = complex(rng.uniform(-3, 3), rng.uniform(-0.3, 0.3))
+            I = complex(rng.uniform(0.2, 1.5), rng.uniform(-0.3, 0.3))
+            p, dp = (complex(v) for v in cyl.value_and_dI(theta, I))
+            assert abs(p - p_oracle(theta, I)) <= 1e-13 * (1 + abs(p))
+            fd = (complex(cyl.value(theta, I + h))
+                  - complex(cyl.value(theta, I - h))) / (2 * h)
+            assert abs(dp - fd) <= 1e-8 * (1 + abs(dp))
+
+    def test_circle(self, rng):
+        sym = CircleSymbol(f_coeffs=(0.3, -1.0, 0.0, 1.0),
+                           q_terms={**COS, (0, 2): 1.0, (2, 1): 0.5 - 0.25j,
+                                    (-2, 1): 0.5 + 0.25j})
+        self._check(sym.cylinder_map(0.2),
+                    lambda t, I: eval_circle(sym, t, I, 0.2), rng)
+
+    def test_oscillator(self, rng):
+        sym = plane({(2, 0): 1.0, (3, 0): 0.5, (1, 2): -0.7, (0, 4): 0.2,
+                     (1, 0): 0.3}, 0.15)
+
+        def oracle(theta, I):
+            r = cmath.sqrt(2 * I)
+            return eval_plane(sym, r * cmath.cos(theta), -r * cmath.sin(theta))
+
+        self._check(pullback_action_angle(sym), oracle, rng)
+
+    def test_broadcasts_nodes_against_energies(self):
+        # a column of nodes against a grid of loops, as the action layer
+        # calls it, matches the scalar call at every cell
+        cyl = pullback_action_angle(plane({(2, 0): 1.0, (0, 3): 1.0}, 0.1))
+        thetas = np.linspace(0.0, 6.0, 7)[:, None]
+        I = np.linspace(0.3, 0.9, 21).reshape(7, 3) + 0.01j
+        grid = cyl.value_and_dI(thetas, I)
+        assert grid[0].shape == grid[1].shape == (7, 3)
+        for j in range(7):
+            for b in range(3):
+                cell = cyl.value_and_dI(thetas[j, 0], I[j, b])
+                for g, c in zip(grid, cell):
+                    assert abs(g[j, b] - complex(c)) <= 1e-15 * abs(g[j, b])
+
+
 class TestPTSymmetryCheck:
     @staticmethod
     def _substitution_oracle(sym, rng):

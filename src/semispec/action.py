@@ -335,13 +335,13 @@ class ActionMap:
         groups = []
         cols = np.flatnonzero(refine)
         width = max(1, GRID_CELLS // (2 * m))
-        for block in np.split(cols, range(width, cols.size, width)):
-            if block.size:
-                energies[block], finer = self._settle(
-                    energies[block], self._interpolate(levels[:, block]),
-                    None if targets is None else targets[block], max_nodes,
-                    tail[block])
-                groups += [(block[c], loops) for c, loops in finer]
+        for i in range(0, cols.size, width):
+            block = cols[i:i + width]
+            energies[block], finer = self._settle(
+                energies[block], self._interpolate(levels[:, block]),
+                None if targets is None else targets[block], max_nodes,
+                tail[block])
+            groups += [(block[c], loops) for c, loops in finer]
         redo = ~solved | (coarse & ~refine)
         if np.any(redo):
             levels[:, redo] = self._continue_levels(energies[redo],
@@ -370,8 +370,8 @@ class ActionMap:
         return levels
 
     def _resolved_loop(self, E):
-        """The loop of one energy on the coarsest grid, from num_nodes
-        doubling up to MAX_NODES, that meets the Fourier-tail check."""
+        """The checked loop of one energy, on the grid _settle refines
+        from num_nodes by the loop's Fourier tail."""
         energies = np.array([complex(E)])
         _, [(_, levels)] = self._settle(energies, self._seed_grid(energies))
         return levels[:, 0]

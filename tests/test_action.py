@@ -180,6 +180,16 @@ class TestGridSolve:
         for i in (0, 17, 40):
             assert abs(am.invert_action(targets[i]) - batch[i]) <= 1e-15
 
+    def test_refined_batch_matches_single(self, refinements):
+        # near the fold 0.47, 0.48 and 0.484 refine to 512, 1024 and 2048
+        # nodes inside one batch; each must equal its own inversion
+        am = fold_map()
+        targets = np.array([0.3, 0.47, 0.2, 0.484, 0.48, 0.1])
+        batch = am._invert_batch(targets)
+        assert refinements[0] == (am.num_nodes, 3)
+        for t, g in zip(targets, batch):
+            assert abs(am.invert_action(t) - g) <= 1e-15
+
     def test_interpolation_keeps_band_limited_loops(self):
         # exp(3i theta) - 2 cos(5 theta) + cos(16 theta) on 32 nodes, with
         # its Nyquist mode split evenly, is the same loop on 64 nodes

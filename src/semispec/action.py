@@ -31,7 +31,6 @@ that tail.  A loop whose Newton fails, whose tail falls that slowly, or
 whose tail is still too large at MAX_NODES falls back to node-to-node
 continuation from its node-0 start, whose wrap-around step back to
 theta = 2*pi must land on node 0 within the closure tolerance.
-solve_level_set keeps the num_nodes grid; the other queries refine.
 
 Inverting E -> action(E) yields the eigenvalue generator g: predicted
 spectra are g(hbar*k) on the circle and g(hbar*(k + 1/2)) on the line,
@@ -377,9 +376,10 @@ class ActionMap:
         return levels[:, 0]
 
     def solve_level_set(self, E):
-        """Sampled loop {I(theta_j)} for one energy on the num_nodes grid,
-        as a 1-D array."""
-        return self._solve_levels([complex(E)])[:, 0]
+        """Sampled loop {I(theta_j)} for one energy, as a 1-D array, on
+        the grid refined from num_nodes by the loop's Fourier tail: the
+        nodes are theta_j = 2*pi*j/loop.size."""
+        return self._resolved_loop(E)
 
     def action_integral(self, E):
         """Trapezoid mean of the level loop: the complex action at E."""

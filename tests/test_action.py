@@ -340,6 +340,15 @@ class TestInversion:
         fine.num_nodes = 4096
         assert abs(fine.action_integral(g) - 0.484) <= 1e-12
 
+    def test_fold_level_set_is_refined(self):
+        # the 128-node loop of g misses its target by 5.1e-6; the refined
+        # loop, on 2*pi*j/loop.size, meets it as action_integral does
+        am = fold_map()
+        g = am.invert_action(0.484)
+        loop = am.solve_level_set(g)
+        assert loop.size > am.num_nodes
+        assert abs(loop.mean() - 0.484) <= 1e-12
+
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
     def test_evaluations_per_block(self, model, symbol, fallbacks,
                                    monkeypatch):

@@ -176,11 +176,12 @@ class TestErrors:
         assert res.source_fingerprint == ref.source_fingerprint
 
     def test_shift_budget_exhaustion(self, rng):
-        # this matrix needs 226 shifts in 136 sweeps: a budget of 180
+        # this matrix needs 406 shifts: 322 in the single-shift sweeps of
+        # 24 windows and 84 in 14 multishift sweeps, so a budget of 360
         # fails only when a multishift sweep counts each of its shifts
         m = random_complex(rng, 60)
-        with pytest.raises(SolverError, match="within 180 shifts") as exc:
-            eigenvalues(m, max_iter_factor=3)
+        with pytest.raises(SolverError, match="within 360 shifts") as exc:
+            eigenvalues(m, max_iter_factor=6)
         assert exc.value.partial.shape == (60, 60)
 
     def test_nonconvergence_carries_partial_form(self, rng):
@@ -264,9 +265,9 @@ class TestMultishift:
         calls = []
         sweep = eig._multishift_sweep
 
-        def counting(h, qt, lo, hi, shifts, work):
+        def counting(h, qt, lo, hi, shifts):
             calls.append(len(shifts))
-            return sweep(h, qt, lo, hi, shifts, work)
+            return sweep(h, qt, lo, hi, shifts)
 
         monkeypatch.setattr(eig, "_multishift_sweep", counting)
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
@@ -275,25 +276,43 @@ class TestMultishift:
         assert calls and max(calls) == 133 // eig.ROWS_PER_SHIFT
         assert res.tolerance <= 10 * 133 * U
 
+    def test_early_deflation_shift_count(self, monkeypatch):
+        # the multishift sweeps with the eigenvalues of the trailing block
+        # as shifts took 42 sweeps and 1344 shifts on this matrix; early
+        # deflation takes 18 sweeps and 220 shifts
+        calls = []
+        sweep = eig._multishift_sweep
+
+        def counting(h, qt, lo, hi, shifts):
+            calls.append(len(shifts))
+            return sweep(h, qt, lo, hi, shifts)
+
+        monkeypatch.setattr(eig, "_multishift_sweep", counting)
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=132,
+                               epsilon=0.1)
+        res = eigenvalues_of(build_operator(cfg)[1])
+        assert len(res.eigenvalues) == 265
+        assert calls and sum(calls) <= 400
+        assert res.tolerance <= 10 * 265 * U
+
     @pytest.mark.parametrize("step", [9, 13])
     def test_batched_step_equals_one_by_one(self, rng, step):
         n, ns = 40, 4
         h = np.triu(random_complex(rng, n), -1)
         qt = np.eye(n, dtype=complex)
         shifts = rng.standard_normal(ns) + 1j * rng.standard_normal(ns)
-        work = np.empty((2, ns * n), dtype=complex)
         steps = list(eig._chain_steps(0, n - 1, ns))
         for pmin, pmax, entering in steps[:step]:
             mu = None if entering is None else shifts[entering]
-            eig._chain_step(h, qt, 0, n - 1, pmin, pmax, mu, work)
+            eig._chain_step(h, qt, 0, n - 1, pmin, pmax, mu)
         pmin, pmax, entering = steps[step]
         assert pmax - pmin == 3 * eig.BULGE_SPACING  # four bulges at once
         h1, qt1 = h.copy(), qt.copy()
         mu = None if entering is None else shifts[entering]
-        eig._chain_step(h1, qt1, 0, n - 1, pmin, pmax, mu, work)
+        eig._chain_step(h1, qt1, 0, n - 1, pmin, pmax, mu)
         for p in range(pmax, pmin - 1, -eig.BULGE_SPACING):
             eig._chain_step(h, qt, 0, n - 1, p, p,
-                            mu if p == pmin else None, work)
+                            mu if p == pmin else None)
         assert np.abs(h1 - h).max() <= 1e-13
         assert np.abs(qt1 - qt).max() <= 1e-13
 
@@ -303,8 +322,7 @@ class TestMultishift:
         h[5, 4] = 0.0  # with H[6, 4] = 0 a bulge at row 5 has nothing left
         expected = h.copy()
         qt = np.eye(n, dtype=complex)
-        eig._chain_step(h, qt, 0, n - 1, 5, 5, None,
-                        np.empty((2, n), dtype=complex))
+        eig._chain_step(h, qt, 0, n - 1, 5, 5, None)
         assert np.array_equal(h, expected)
         assert np.array_equal(qt, np.eye(n))
 
@@ -320,3 +338,68 @@ class TestMultishift:
             "assert eigenvalues(m).tolerance < 1e-12\n"
             "print('scipy.linalg' in sys.modules)\n")
         assert run_python(script).strip() == "False"
+
+
+class TestWindows:
+    """Chains chased inside diagonal windows, and aggressive early
+    deflation on the trailing window."""
+
+    def test_windowed_chase_equals_unwindowed(self, rng):
+        n, lo, hi, ns = 60, 5, 54, 6
+        h = np.triu(random_complex(rng, n), -1)
+        h[lo, lo - 1] = h[hi + 1, hi] = 0.0
+        shifts = rng.standard_normal(ns) + 1j * rng.standard_normal(ns)
+        steps = list(eig._chain_steps(lo, hi, ns))
+        assert len(steps) > 3 * eig.CHUNK_STEPS
+        h1, qt1 = h.copy(), np.eye(n, dtype=complex)
+        eig._multishift_sweep(h1, qt1, lo, hi, shifts)
+        qt = np.eye(n, dtype=complex)
+        for pmin, pmax, entering in steps:
+            mu = None if entering is None else shifts[entering]
+            eig._chain_step(h, qt, lo, hi, pmin, pmax, mu)
+        assert np.abs(h1 - h).max() <= 1e-13
+        assert np.abs(qt1 - qt).max() <= 1e-13
+
+    def test_swap_exchanges_diagonal_entries(self, rng):
+        n, k = 7, 3
+        t0 = np.triu(random_complex(rng, n))
+        t, u = t0.copy(), np.eye(n, dtype=complex)
+        eig._swap(t, u, k)
+        assert not np.tril(t, -1).any()
+        assert t[k, k] == t0[k + 1, k + 1] and t[k + 1, k + 1] == t0[k, k]
+        assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 10 * n * U
+        # T0 = U^H T U with U = conj(u)
+        assert np.linalg.norm(u.T @ t @ u.conj() - t0) \
+            <= 10 * n * U * np.linalg.norm(t0)
+
+    def test_early_deflation_of_decoupled_block(self, rng):
+        # H[56, 55] inside the trailing window of 8 rows is negligible, so
+        # the window's bottom 4 eigenvalues have spike entries near 1e-17
+        n, nw, cut = 60, 8, 56
+        h0 = np.triu(random_complex(rng, n), -1)
+        h0[cut, cut - 1] = 1e-17
+        h, qt = h0.copy(), np.eye(n, dtype=complex)
+        deflated, shifts, spent = eig._early_deflation(h, qt, 0, n - 1, nw,
+                                                       n * 40)
+        assert deflated >= n - cut
+        assert len(shifts) == nw - deflated and spent > 0
+        kw, keep = n - nw, nw - deflated
+        assert not np.tril(h, -2).any()
+        assert not h[kw + keep:, kw - 1].any()
+        assert not np.tril(h[kw + keep:, kw + keep:], -1).any()
+        assert h[kw + keep, kw + keep - 1] == 0.0
+        bottom = np.linalg.eigvals(h0[cut:, cut:])
+        assert hausdorff(np.diag(h)[-(n - cut):], bottom) <= 1e-12
+        assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
+            <= 10 * n * U * np.linalg.norm(h0)
+
+    @pytest.mark.parametrize("n", [41, 97, 265])
+    def test_no_platform_eigenroutine(self, rng, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("platform eigenroutine called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        res = eigenvalues(random_complex(rng, n))
+        assert len(res.eigenvalues) == n
+        assert res.tolerance <= 10 * n * U

@@ -368,26 +368,21 @@ class ActionMap:
                                         max_nodes=start.shape[0])
         return levels
 
-    def _resolved_loop(self, E):
-        """The checked loop of one energy, on the grid _settle refines
-        from num_nodes by the loop's Fourier tail."""
+    def solve_level_set(self, E):
+        """Sampled loop {I(theta_j)} for one energy, as a 1-D array: the
+        checked loop on the grid _settle refines from num_nodes by the
+        loop's Fourier tail, so the nodes are theta_j = 2*pi*j/loop.size."""
         energies = np.array([complex(E)])
         _, [(_, levels)] = self._settle(energies, self._seed_grid(energies))
         return levels[:, 0]
 
-    def solve_level_set(self, E):
-        """Sampled loop {I(theta_j)} for one energy, as a 1-D array, on
-        the grid refined from num_nodes by the loop's Fourier tail: the
-        nodes are theta_j = 2*pi*j/loop.size."""
-        return self._resolved_loop(E)
-
     def action_integral(self, E):
         """Trapezoid mean of the level loop: the complex action at E."""
-        return complex(self._resolved_loop(E).mean())
+        return complex(self.solve_level_set(E).mean())
 
     def action_derivative(self, E):
         """d action / dE via the implicit function theorem."""
-        loop = self._resolved_loop(E)
+        loop = self.solve_level_set(E)
         _, dp = self.cyl.value_and_dI(_nodes(loop.size), loop)
         return complex((1.0 / dp).mean())
 

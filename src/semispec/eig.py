@@ -379,7 +379,9 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
     s = complex(h[kw, kw - 1])
     t = h[kw:hi + 1, kw:hi + 1].copy()
     u, spent = _small_schur(t, budget)
-    keep = nw  # rows [0, top) kept, [keep, nw) deflated
+    # rows [0, top) hold the undeflatable eigenvalues moved up so far,
+    # [top, keep) those still to test, [keep, nw) the deflated ones
+    keep = nw
     top = 0
     while top < keep:
         i = keep - 1
@@ -402,7 +404,6 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
         t[:keep, keep:] = qb.conj() @ t[:keep, keep:]
         u[:keep] = qb @ u[:keep]
     h[kw:hi + 1, kw:hi + 1] = t
-    h[kw + 1:hi + 1, kw - 1] = 0.0
     h[kw, kw - 1] = s * u[0, 0].conjugate() if keep else 0.0
     _apply_window(h, qt, kw, hi, u)
     return nw - keep, shifts, spent

@@ -47,6 +47,20 @@ def condition_numbers(m):
     return vals, np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)
 
 
+@pytest.fixture
+def sweep_shifts(monkeypatch):
+    """The shift count of every multishift sweep, in order."""
+    calls = []
+    sweep = eig._multishift_sweep
+
+    def counting(h, qt, lo, hi, shifts):
+        calls.append(len(shifts))
+        return sweep(h, qt, lo, hi, shifts)
+
+    monkeypatch.setattr(eig, "_multishift_sweep", counting)
+    return calls
+
+
 class TestExamples:
     def test_diagonal(self):
         res = eigenvalues(np.diag([1.0, 2.0j, -3.0]).astype(complex))
@@ -261,38 +275,22 @@ class TestMultishift:
             tol = 10 * kap * (mine.tolerance + ref.residuals[j] + U) * norm
             assert abs(ref_vals[j] - z) <= tol
 
-    def test_figure_matrix_takes_multishift_path(self, monkeypatch):
-        calls = []
-        sweep = eig._multishift_sweep
-
-        def counting(h, qt, lo, hi, shifts):
-            calls.append(len(shifts))
-            return sweep(h, qt, lo, hi, shifts)
-
-        monkeypatch.setattr(eig, "_multishift_sweep", counting)
+    def test_figure_matrix_takes_multishift_path(self, sweep_shifts):
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
         _, op = build_operator(cfg)
         res = eigenvalues_of(op)
-        assert calls and max(calls) == 133 // eig.ROWS_PER_SHIFT
+        assert sweep_shifts and max(sweep_shifts) == 133 // eig.ROWS_PER_SHIFT
         assert res.tolerance <= 10 * 133 * U
 
-    def test_early_deflation_shift_count(self, monkeypatch):
+    def test_early_deflation_shift_count(self, sweep_shifts):
         # the multishift sweeps with the eigenvalues of the trailing block
         # as shifts took 42 sweeps and 1344 shifts on this matrix; early
         # deflation takes 18 sweeps and 220 shifts
-        calls = []
-        sweep = eig._multishift_sweep
-
-        def counting(h, qt, lo, hi, shifts):
-            calls.append(len(shifts))
-            return sweep(h, qt, lo, hi, shifts)
-
-        monkeypatch.setattr(eig, "_multishift_sweep", counting)
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=132,
                                epsilon=0.1)
         res = eigenvalues_of(build_operator(cfg)[1])
         assert len(res.eigenvalues) == 265
-        assert calls and sum(calls) <= 400
+        assert sweep_shifts and sum(sweep_shifts) <= 400
         assert res.tolerance <= 10 * 265 * U
 
     @pytest.mark.parametrize("step", [9, 13])

@@ -350,24 +350,6 @@ class ActionMap:
             groups.append((here, levels[:, here]))
         return energies, groups
 
-    def _solve_levels(self, energies, start=None):
-        """Sampled loops I(theta_j) for a batch of energies, on the
-        num_nodes grid (or the grid of ``start``) without refinement.
-
-        Returns an array of shape (nodes, len(energies)).  One Newton
-        solve covers the whole grid, started from ``start`` or else from
-        the energies' real seeds; an energy whose grid Newton fails, or
-        whose loop has a Fourier tail above the closure tolerance (a node
-        left the branch of node 0), is solved again by continuation from
-        its node-0 start, which keeps the closure check.
-        """
-        energies = np.atleast_1d(np.asarray(energies, dtype=complex))
-        if start is None:
-            start = self._seed_grid(energies)
-        _, [(_, levels)] = self._settle(energies, start,
-                                        max_nodes=start.shape[0])
-        return levels
-
     def solve_level_set(self, E):
         """Sampled loop {I(theta_j)} for one energy, as a 1-D array: the
         checked loop on the grid _settle refines from num_nodes by the

@@ -141,6 +141,16 @@ def refinements(monkeypatch):
     return calls
 
 
+def grid_levels(am, energies, start=None):
+    """Checked loops on the grid of ``start`` (by default the energies'
+    real seeds on num_nodes), without refinement."""
+    energies = np.atleast_1d(np.asarray(energies, dtype=complex))
+    if start is None:
+        start = am._seed_grid(energies)
+    _, [(_, levels)] = am._settle(energies, start, max_nodes=start.shape[0])
+    return levels
+
+
 class TestGridSolve:
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
     def test_grid_matches_continuation(self, model, symbol, fallbacks):
@@ -150,7 +160,7 @@ class TestGridSolve:
                                 "averaged_first_order", default_rect(cfg, am))
         energies = pred.values()
         assert energies.size >= 20
-        grid = am._solve_levels(energies)
+        grid = grid_levels(am, energies)
         assert not fallbacks
         seeds = np.array([am.cyl.seed_action(e.real) for e in energies],
                          dtype=complex)
@@ -162,10 +172,10 @@ class TestGridSolve:
         # nodes started there leave the branch of node 0 in one column only
         am = fig1_map(0.1)
         energies = np.array([0.3 + 0.01j, 0.45 + 0.02j, 0.6 + 0.03j])
-        start = am._solve_levels(energies)
+        start = grid_levels(am, energies)
         fallbacks.clear()
         start[100:140, 1] = 10j
-        levels = am._solve_levels(energies, start=start)
+        levels = grid_levels(am, energies, start=start)
         assert len(fallbacks) == 1
         assert fallbacks[0].tolist() == [energies[1]]
         chain = am._continue_levels(energies[1:2], start[0, 1:2],

@@ -47,6 +47,36 @@ def condition_numbers(m):
     return vals, np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)
 
 
+def assert_agrees_with_numpy_engine(m):
+    """Every qr eigenvalue lies within 10 kappa (residuals + u) ||M||_F of
+    its nearest numpy eigenvalue; returns the qr result."""
+    mine = eigenvalues(m)
+    ref = eigenvalues(m, engine="numpy")
+    ref_vals = np.array(ref.eigenvalues)
+    kappa_vals, kappa = condition_numbers(m)
+    norm = np.linalg.norm(m)
+    for z in mine.eigenvalues:
+        j = int(np.argmin(np.abs(ref_vals - z)))
+        kap = kappa[int(np.argmin(np.abs(kappa_vals - ref_vals[j])))]
+        tol = 10 * kap * (mine.tolerance + ref.residuals[j] + U) * norm
+        assert abs(ref_vals[j] - z) <= tol
+    return mine
+
+
+@pytest.fixture
+def schur_inputs(monkeypatch):
+    """A copy of every matrix eig._schur is handed, in order."""
+    calls = []
+    schur = eig._schur
+
+    def recording(a, **kwargs):
+        calls.append(a.copy())
+        return schur(a, **kwargs)
+
+    monkeypatch.setattr(eig, "_schur", recording)
+    return calls
+
+
 @pytest.fixture
 def sweep_shifts(monkeypatch):
     """The shift count of every multishift sweep, in order."""
@@ -209,6 +239,11 @@ class TestErrors:
         with pytest.raises(ConfigError):
             eigenvalues(random_complex(rng, 3), engine="magma")
 
+    def test_unknown_engine_on_zero_matrix(self):
+        # the zero matrix has a shortcut; the engine is checked before it
+        with pytest.raises(ConfigError, match="magma"):
+            eigenvalues(np.zeros((3, 3)), engine="magma")
+
 
 class TestOperatorEntry:
     def test_truncated_operator_spectrum(self):
@@ -263,17 +298,7 @@ class TestMultishift:
 
     @pytest.mark.parametrize("n", [60, 120, 200])
     def test_agrees_with_numpy_engine(self, rng, n):
-        m = random_complex(rng, n)
-        mine = eigenvalues(m)
-        ref = eigenvalues(m, engine="numpy")
-        ref_vals = np.array(ref.eigenvalues)
-        kappa_vals, kappa = condition_numbers(m)
-        norm = np.linalg.norm(m)
-        for z in mine.eigenvalues:
-            j = int(np.argmin(np.abs(ref_vals - z)))
-            kap = kappa[int(np.argmin(np.abs(kappa_vals - ref_vals[j])))]
-            tol = 10 * kap * (mine.tolerance + ref.residuals[j] + U) * norm
-            assert abs(ref_vals[j] - z) <= tol
+        assert_agrees_with_numpy_engine(random_complex(rng, n))
 
     def test_figure_matrix_takes_multishift_path(self, sweep_shifts):
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
@@ -336,6 +361,90 @@ class TestMultishift:
             "assert eigenvalues(m).tolerance < 1e-12\n"
             "print('scipy.linalg' in sys.modules)\n")
         assert run_python(script).strip() == "False"
+
+    def test_parity_solve_leaves_scipy_unimported(self, run_python):
+        # figure05 splits into parity blocks, labelled with numpy alone:
+        # importing scipy.sparse.csgraph costs about 33 MB of RSS and 0.4 s
+        script = (
+            "import sys\n"
+            "from semispec import eigenvalues_of\n"
+            "from semispec.experiments import ExperimentConfig,"
+            " build_operator\n"
+            "cfg = ExperimentConfig(model='line',"
+            " symbol='x^2 + xi^2 + i*epsilon*x^2', N=66, delta=0.5)\n"
+            "assert eigenvalues_of(build_operator(cfg)[1]).tolerance < 1e-12\n"
+            "print('scipy.linalg' in sys.modules,"
+            " 'scipy.sparse' in sys.modules)\n")
+        assert run_python(script).split() == ["False", "False"]
+
+
+class TestBlocks:
+    """The qr engine solves each exactly decoupled diagonal block of the
+    matrix (a component of the nonzero pattern of M + M^T) on its own."""
+
+    FIGURE05 = "x^2 + xi^2 + i*epsilon*x^2"
+    FIGURE07 = "x^2 + xi^2 + i*epsilon*(x^2 + x^3)"
+    FIGURE08 = "x^2 + xi^2 + i*epsilon*x^4"
+
+    @staticmethod
+    def matrix(model, symbol):
+        cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
+        return build_operator(cfg)[1].matrix
+
+    def test_permuted_block_diagonal(self, rng, schur_inputs):
+        sizes = (50, 1, 30, 45)
+        n = sum(sizes)
+        blocks = [random_complex(rng, k) for k in sizes]
+        m = np.zeros((n, n), dtype=complex)
+        ends = np.cumsum(sizes)
+        for b, end, k in zip(blocks, ends, sizes):
+            m[end - k:end, end - k:end] = b
+        perm = rng.permutation(n)
+        m = m[np.ix_(perm, perm)]
+        position = np.argsort(perm)
+        found = eig._blocks(m)
+        assert sorted(map(sorted, (position[end - k:end]
+                                   for end, k in zip(ends, sizes)))) \
+            == sorted(idx.tolist() for idx in found)
+        res = assert_agrees_with_numpy_engine(m)
+        assert sorted(a.shape[0] for a in schur_inputs) == sorted(sizes)
+        union = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+        assert len(res.eigenvalues) == n
+        assert hausdorff(res.eigenvalues, union) <= 1e-10 * np.linalg.norm(m)
+        assert res.tolerance <= 10 * n * U
+
+    @pytest.mark.parametrize("symbol", [FIGURE05, FIGURE08],
+                             ids=["figure05", "figure08"])
+    def test_parity_blocks(self, schur_inputs, symbol):
+        m = self.matrix("line", symbol)
+        res = eigenvalues(m)
+        even, odd = schur_inputs
+        assert (even.shape, odd.shape) == ((34, 34), (33, 33))
+        assert np.array_equal(even, m[::2, ::2])
+        assert np.array_equal(odd, m[1::2, 1::2])
+        whole = np.sort_complex(np.diag(eig._schur(m)[0]))
+        assert np.abs(np.array(res.eigenvalues) - whole).max() <= 1e-12
+        assert res.tolerance <= 10 * 67 * U
+
+    @pytest.mark.parametrize("model,symbol", [("circle", FIG1),
+                                              ("line", FIGURE07)],
+                             ids=["figure01", "figure07"])
+    def test_connected_matrix_is_one_block(self, schur_inputs, model,
+                                           symbol):
+        m = self.matrix(model, symbol)
+        eigenvalues(m)
+        [whole] = schur_inputs
+        assert np.array_equal(whole, m)
+
+    def test_exhausted_block_raises(self, rng):
+        # the triangular 2 x 2 block needs no shift, the random 12 x 12
+        # block runs out of its budget of 0 shifts
+        m = np.zeros((14, 14), dtype=complex)
+        m[:2, :2] = [[1.0, 2.0], [0.0, 3.0]]
+        m[2:, 2:] = random_complex(rng, 12)
+        with pytest.raises(SolverError, match="within 0 shifts") as exc:
+            eigenvalues(m, max_iter_factor=0)
+        assert exc.value.partial.shape == (12, 12)
 
 
 class TestWindows:

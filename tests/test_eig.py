@@ -413,6 +413,15 @@ class TestBlocks:
         assert hausdorff(res.eigenvalues, union) <= 1e-10 * np.linalg.norm(m)
         assert res.tolerance <= 10 * n * U
 
+    def test_one_way_links(self):
+        # M[0, 2] and M[3, 1] link their rows in one direction each
+        m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+        m[0, 2] = m[3, 1] = 1.0
+        assert [idx.tolist() for idx in eig._blocks(m)] \
+            == [[0, 2], [1, 3], [4]]
+        lams = np.array(eigenvalues(m).eigenvalues)
+        assert np.abs(lams - np.arange(1.0, 6.0)).max() <= 10 * U
+
     @pytest.mark.parametrize("symbol", [FIGURE05, FIGURE08],
                              ids=["figure05", "figure08"])
     def test_parity_blocks(self, schur_inputs, symbol):

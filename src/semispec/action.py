@@ -16,7 +16,8 @@ Grid solve.  The loops of a batch of energies come from one vectorized
 complex Newton on the whole (nodes x energies) grid, started at every
 node from the energy's real seed, the real root of the unperturbed part.
 Each step evaluates p and dp/dI together (value_and_dI), and the
-Jacobian check reads dp/dI from the last evaluation.
+Jacobian check reads dp/dI from the last evaluation.  The inversion
+below runs the same Newton with a border row added.
 
 Node count.  On a smooth periodic loop the Fourier coefficients c_k decay
 geometrically, and the trapezoid error is the sum of the aliased
@@ -40,15 +41,16 @@ loop and the energy together,
 
     p(theta_j, I_j) = E  for every node j,    (1/M) * sum_j I_j = t,
 
-starting from the real seed nearest t.  Its Jacobian is diagonal in the
-loop with one border row and column, so each step is closed-form and
-costs one fused evaluation of p and dp/dI on the grid.  The converged
-loop passes the same tail check, refinement (which moves E again on the
-doubled grid) and fallback as a grid solve, and its mean must meet t
-within INVERSION_TOL.  Targets are inverted in blocks of
-GRID_CELLS // num_nodes (32 at 128 nodes), which bounds the grid's
-working memory; a converged target is frozen, so its result does not
-depend on the other targets, up to rounding in the sums.
+starting from the real seed nearest t: the grid solve's Newton with a
+border.  Its Jacobian is diagonal in the loop with one border row and
+column, so each step is closed-form and costs one fused evaluation of p
+and dp/dI on the grid.  The converged loop passes the same tail check,
+refinement (which moves E again on the doubled grid) and fallback as a
+grid solve, and its mean must meet t within INVERSION_TOL.  invert_action
+takes one target or an array of them, in blocks of
+GRID_CELLS // DEFAULT_NODES = 32, which bounds the grid's working memory;
+a converged target is frozen, so its result does not depend on the
+other targets, up to rounding in the sums.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, CriticalLevelError, DegeneracyError,
-                     InversionError, LevelSetError)
+                     DomainError, InversionError, LevelSetError)
 
 DEFAULT_NODES = 128  # starting grid; an under-resolved loop doubles it
 MAX_NODES = 2048
@@ -159,72 +161,60 @@ class ActionMap:
     """Queryable complex action map for one cylinder symbol.
 
     The underlying evaluator comes from CircleSymbol.cylinder_map(eps) or
-    from pullback_action_angle(plane_symbol).  Instances hold no state
-    besides the cylinder and the starting node count num_nodes
-    (DEFAULT_NODES): every query depends on its arguments alone, whatever
-    was asked before, so concurrent queries are safe.  The query surface
-    is solve_level_set, action_integral, action_derivative, invert_action
+    from pullback_action_angle(plane_symbol).  Instances hold the cylinder
+    and nothing else: the node counts are module constants, read at call
+    time, and every query depends on its arguments alone, whatever was
+    asked before, so concurrent queries are safe.  The query surface is
+    solve_level_set, action_integral, action_derivative, invert_action
     and averaged_value.
     """
 
+    __slots__ = ("cyl",)
+
     def __init__(self, cylinder):
         self.cyl = cylinder
-        self.num_nodes = DEFAULT_NODES
 
     @property
     def eps(self):
         return self.cyl.eps
 
-    def thetas(self):
-        return _nodes(self.num_nodes)
-
     # -- level sets ---------------------------------------------------
 
-    def _newton_grid(self, thetas, start, energies):
-        """Complex Newton for p(theta, I) = E at every theta (a column of
-        nodes, or one node) and every energy at once.  Returns the
-        solution and two per-energy flags: every node converged, and every
-        node ended with |dp/dI| above the floor, read from the last
-        evaluation.  Failures do not raise."""
-        I = np.array(start, dtype=complex, copy=True)
-        tol = NEWTON_TOL * (1.0 + np.abs(energies))
-        with np.errstate(all="ignore"):
-            for _ in range(NEWTON_MAX_ITER):
-                p, dp = self.cyl.value_and_dI(thetas, I)
-                r = p - energies
-                done = np.abs(r) <= tol
-                if np.all(done):
-                    break
-                I = np.where(done, I, I - r / dp)
-        return (I, np.all(done, axis=0),
-                np.all(np.abs(dp) >= JACOBIAN_FLOOR, axis=0))
-
-    def _bordered_newton(self, thetas, start, E, targets):
-        """Newton on (loops, E) for a block of targets (see the module
-        docstring).  With r = p - E, w = 1/p_I and miss = mean(I) - target,
-        a step is dE = (mean(w*r) - miss) / mean(w), then I += (dE - r)*w.
-        A converged target is frozen, so its iterates depend on its own
-        column alone.  Returns E, the loops and the flags of _newton_grid."""
-        I = np.array(start, dtype=complex, copy=True)
-        done = np.zeros(targets.size, dtype=bool)
+    def _newton(self, thetas, start, E, targets=None):
+        """Complex Newton for p(theta, I) = E on a (nodes x energies) grid.
+        Given ``targets`` it is the bordered Newton of the module docstring
+        and moves E too: with r = p - E, w = 1/p_I and miss = mean(I) -
+        target, dE = (mean(w*r) - miss) / mean(w), else dE = 0; then
+        I += (dE - r)*w.  A converged column is frozen, so its iterates
+        depend on it alone.  Returns E, the loops and per-energy flags:
+        converged, and |dp/dI| above the floor at every node in the last
+        evaluation.  Failures to converge do not raise."""
+        # C order whatever the start's layout: the column means sum in
+        # memory order, and a broadcast start copies in F order otherwise.
+        I = np.array(start, dtype=complex, order="C")
+        done = np.zeros(I.shape[1], dtype=bool)
         with np.errstate(all="ignore"):
             for _ in range(NEWTON_MAX_ITER):
                 p, dp = self.cyl.value_and_dI(thetas, I)
                 r = p - E
-                miss = I.mean(axis=0) - targets
-                done |= (np.all(np.abs(r) <= NEWTON_TOL * (1.0 + np.abs(E)),
-                                axis=0)
-                         & (np.abs(miss) <= NEWTON_TOL))
+                met = np.all(np.abs(r) <= NEWTON_TOL * (1.0 + np.abs(E)),
+                             axis=0)
+                if targets is not None:
+                    miss = I.mean(axis=0) - targets
+                    met &= np.abs(miss) <= NEWTON_TOL
+                done |= met
                 if np.all(done):
                     break
                 w = 1.0 / dp
-                d = w.mean(axis=0)
-                if np.any(~done & (np.abs(d) < DERIVATIVE_FLOOR)):
-                    raise DegeneracyError(
-                        "|d action/dE| below 1e-10: action map degenerate "
-                        "here")
-                dE = np.where(done, 0.0, ((w * r).mean(axis=0) - miss) / d)
-                E = E + dE
+                dE = 0.0
+                if targets is not None:
+                    d = w.mean(axis=0)
+                    if np.any(~done & (np.abs(d) < DERIVATIVE_FLOOR)):
+                        raise DegeneracyError(
+                            "|d action/dE| below 1e-10: action map "
+                            "degenerate here")
+                    dE = np.where(done, 0.0, ((w * r).mean(axis=0) - miss) / d)
+                    E = E + dE
                 I = np.where(done, I, I + (dE - r) * w)
         return E, I, done, np.all(np.abs(dp) >= JACOBIAN_FLOOR, axis=0)
 
@@ -264,9 +254,11 @@ class ActionMap:
         """Loops at num_nodes nodes by node-to-node continuation, all
         energies in lockstep: node 0 starts from ``seeds``, each later node
         from its predecessor, and a final wrap-around step back to
-        theta = 2*pi must land on node 0 again."""
+        theta = 2*pi must land on node 0 again.  Each node is a one-node
+        grid for _newton."""
         def node(theta, start):
-            I, converged, regular = self._newton_grid(theta, start, energies)
+            _, I, converged, regular = self._newton(theta, start[None, :],
+                                                    energies)
             if not np.all(converged):
                 raise LevelSetError(
                     f"level-set Newton did not converge in "
@@ -275,7 +267,7 @@ class ActionMap:
                 raise CriticalLevelError(
                     "|dp/dI| below 1e-10 on the level set (near-critical "
                     "energy)")
-            return I
+            return I[0]
 
         out = np.empty((num_nodes, energies.size), dtype=complex)
         cur = out[0] = node(0.0, seeds)
@@ -288,47 +280,42 @@ class ActionMap:
                 f"level loop does not close: max |I_M - I_0| = {gap.max():.3e}")
         return out
 
-    def _seed_grid(self, energies):
-        """Every node started at the energy's real seed: the real root of
-        the unperturbed part smallest in modulus."""
-        seeds = [self.cyl.seed_action(e.real) for e in energies]
-        return np.broadcast_to(np.asarray(seeds, dtype=complex),
-                               (self.num_nodes, energies.size))
+    def _start(self, E, near=None):
+        """Every one of DEFAULT_NODES nodes started at the energy's real
+        seed: the real root of the unperturbed part nearest ``near``, or
+        smallest in modulus."""
+        near = [None] * E.size if near is None else near.real
+        start = np.empty((DEFAULT_NODES, E.size), dtype=complex)
+        start[:] = [self.cyl.seed_action(e.real, near=t)
+                    for e, t in zip(E, near)]
+        return start
 
-    def _settle(self, energies, start, targets=None, max_nodes=MAX_NODES,
-                coarse_tail=None):
+    def _settle(self, energies, start, targets=None, coarse_tail=None):
         """Checked loops for a batch of energies, starting on the grid of
         ``start`` (shape (nodes, energies)).
 
-        One Newton covers the grid: at fixed energies, or, given
-        ``targets``, the bordered Newton that also moves each energy until
-        its loop's mean meets its target.  A loop that converges with a
-        regular Jacobian but a Fourier tail above the closure tolerance is
-        under-resolved: it is solved again on the doubled grid, from its
-        FFT interpolation and its current energy, up to max_nodes, as long
-        as each doubling cuts the tail (``coarse_tail`` on the half grid)
-        by more than TAIL_DECAY.  A loop whose Newton fails, whose tail is
-        still too large at max_nodes, or whose tail falls more slowly (a
-        jump between branches) is solved by continuation on its grid from
-        its node-0 start, or inside an inversion from the Newton iterate's
-        node 0.
+        One _newton covers the grid: at fixed energies or, given
+        ``targets``, bordered, moving each energy until its loop's mean
+        meets its target.  A loop that converges with a regular Jacobian
+        but a Fourier tail above the closure tolerance is under-resolved:
+        it is solved again on the doubled grid, from its FFT interpolation
+        and its current energy, up to MAX_NODES, as long as each doubling
+        cuts the tail (``coarse_tail`` on the half grid) by more than
+        TAIL_DECAY.  A loop whose Newton fails, whose tail is still too
+        large at MAX_NODES, or whose tail falls more slowly (a jump between
+        branches) is solved by continuation on its grid from its node-0
+        start, or inside an inversion from the Newton iterate's node 0.
 
         Returns the energies and a list of (columns, loops) pairs, one per
         grid the loops ended on."""
         m = start.shape[0]
-        thetas = _nodes(m)[:, None]
-        if targets is None:
-            levels, converged, regular = self._newton_grid(thetas, start,
-                                                           energies)
-            seeds = start[0]
-        else:
-            energies, levels, converged, regular = self._bordered_newton(
-                thetas, start, energies, targets)
-            seeds = levels[0]
+        energies, levels, converged, regular = self._newton(
+            _nodes(m)[:, None], start, energies, targets)
+        seeds = start[0] if targets is None else levels[0]
         solved = converged & regular
         tail = self._fourier_tail(levels)
         coarse = solved & (tail > self._loop_tol(levels))
-        refine = coarse & (m < max_nodes)
+        refine = coarse & (m < MAX_NODES)
         if coarse_tail is not None:
             refine &= tail * TAIL_DECAY < coarse_tail
         groups = []
@@ -338,8 +325,7 @@ class ActionMap:
             block = cols[i:i + width]
             energies[block], finer = self._settle(
                 energies[block], self._interpolate(levels[:, block]),
-                None if targets is None else targets[block], max_nodes,
-                tail[block])
+                None if targets is None else targets[block], tail[block])
             groups += [(block[c], loops) for c, loops in finer]
         redo = ~solved | (coarse & ~refine)
         if np.any(redo):
@@ -352,10 +338,12 @@ class ActionMap:
 
     def solve_level_set(self, E):
         """Sampled loop {I(theta_j)} for one energy, as a 1-D array: the
-        checked loop on the grid _settle refines from num_nodes by the
+        checked loop on the grid _settle refines from DEFAULT_NODES by the
         loop's Fourier tail, so the nodes are theta_j = 2*pi*j/loop.size."""
         energies = np.array([complex(E)])
-        _, [(_, levels)] = self._settle(energies, self._seed_grid(energies))
+        if not np.isfinite(energies[0]):
+            raise DomainError(f"non-finite energy {energies[0]!r}")
+        _, [(_, levels)] = self._settle(energies, self._start(energies))
         return levels[:, 0]
 
     def action_integral(self, E):
@@ -370,34 +358,31 @@ class ActionMap:
 
     # -- inversion ----------------------------------------------------
 
-    def _invert_batch(self, targets):
-        """g at every target, in blocks of GRID_CELLS // num_nodes
-        targets."""
-        targets = np.atleast_1d(np.asarray(targets, dtype=complex))
-        width = max(1, GRID_CELLS // self.num_nodes)
-        return np.concatenate([self._invert_block(targets[i:i + width])
-                               for i in range(0, targets.size, width)])
+    def invert_action(self, targets):
+        """g at each target: the energy whose action equals it; a complex
+        for a scalar, an array of the targets' shape otherwise.
 
-    def _invert_block(self, targets):
-        """Bordered Newton from the real seed nearest each target, checked
+        Targets go in blocks of GRID_CELLS // DEFAULT_NODES, each a
+        bordered Newton from the real seed nearest each target, checked
         and refined by _settle; each loop's mean must meet its target
         within INVERSION_TOL."""
-        E = np.asarray(self.cyl.f_action(targets), dtype=complex)
-        start = np.empty((self.num_nodes, targets.size), dtype=complex)
-        start[:] = [self.cyl.seed_action(e.real, near=t.real)
-                    for e, t in zip(E, targets)]
-        E, groups = self._settle(E, start, targets)
-        err = np.empty(targets.size)
-        for cols, loops in groups:
-            err[cols] = np.abs(loops.mean(axis=0) - targets[cols])
-        if np.any(err > INVERSION_TOL):
-            raise InversionError(
-                f"action inversion missed target by {err.max():.3e}")
-        return E
-
-    def invert_action(self, I_target):
-        """g(I_target): the energy whose action equals I_target."""
-        return complex(self._invert_batch([complex(I_target)])[0])
+        targets = np.asarray(targets, dtype=complex)
+        if not np.isfinite(targets).all():
+            raise DomainError("non-finite action target")
+        flat = targets.ravel()
+        g = np.empty_like(flat)
+        width = max(1, GRID_CELLS // DEFAULT_NODES)
+        for i in range(0, flat.size, width):
+            block = flat[i:i + width]
+            E = np.asarray(self.cyl.f_action(block), dtype=complex)
+            g[i:i + width], groups = self._settle(
+                E, self._start(E, near=block), block)
+            err = np.concatenate([np.abs(loops.mean(axis=0) - block[cols])
+                                  for cols, loops in groups])
+            if np.any(err > INVERSION_TOL):
+                raise InversionError(
+                    f"action inversion missed target by {err.max():.3e}")
+        return complex(g[0]) if targets.ndim == 0 else g.reshape(targets.shape)
 
     # -- predictions ---------------------------------------------------
 
@@ -422,10 +407,12 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
         raise ConfigError(f"unknown rule {rule!r}")
     if mode not in ("averaged_first_order", "principal_exact"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if hbar <= 0:
-        raise ConfigError("hbar must be positive")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ConfigError(f"hbar must be finite and positive, got {hbar!r}")
     half = 0.5 if rule == "line_maslov" else 0.0
     j_off = float(floquet_offset)
+    if not math.isfinite(j_off):
+        raise ConfigError(f"floquet_offset must be finite, got {j_off!r}")
 
     i_bounds = sorted((am.cyl.seed_action(rect.re_min),
                        am.cyl.seed_action(rect.re_max)))
@@ -433,9 +420,8 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
     k_max = math.ceil((i_bounds[1] + j_off) / hbar - half) + 3
     ks = np.arange(k_min, k_max + 1)
     s = hbar * (ks + half) - j_off
-    min_action = getattr(am.cyl, "min_action", None)
-    if min_action is not None:
-        inside_chart = s > min_action
+    if am.cyl.min_action is not None:
+        inside_chart = s > am.cyl.min_action
         ks = ks[inside_chart]
         s = s[inside_chart]
     averaged = am.averaged_value(s)
@@ -445,9 +431,7 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
         margin_re = 0.3 * (rect.re_max - rect.re_min) + 0.05
         margin_im = 0.3 * (rect.im_max - rect.im_min) + 0.05
         near = rect.expanded(margin_re, margin_im).contains(averaged)
-        ks, values = ks[near], values[near]
-        if values.size:
-            values = am._invert_batch(s[near])
+        ks, values = ks[near], am.invert_action(s[near])
     inside = rect.contains(values)
     points = tuple((int(k), complex(v))
                    for k, v in zip(ks[inside], values[inside]))

@@ -422,16 +422,16 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
     return nw - keep, shifts, spent
 
 
-def _schur(a, max_iter_factor=MAX_ITER_FACTOR):
+def _schur(a):
     """Complex Schur form A = Q T Q^H by shifted QR on the Hessenberg form.
 
-    The budget max_iter_factor * n counts shifts: a single-shift sweep
+    The budget MAX_ITER_FACTOR * n counts shifts: a single-shift sweep
     spends one, also inside an early-deflation block, and a multishift
     sweep one per bulge.
     """
     h, qt = _hessenberg(a)
     n = h.shape[0]
-    budget = max_iter_factor * n
+    budget = MAX_ITER_FACTOR * n
     total = 0
     hi = n - 1
     since_move = 0
@@ -501,15 +501,15 @@ def _blocks(a):
             for root in np.flatnonzero(label == np.arange(n))]
 
 
-def eigenvalues(m, engine="qr", max_iter_factor=MAX_ITER_FACTOR):
+def eigenvalues(m, engine="qr"):
     """All eigenvalues of a square complex matrix, as a SpectrumResult.
 
     Parameters
     ----------
     m : array_like, square, finite entries
     engine : "qr" (in-house reference) or "numpy" (platform adapter)
-    max_iter_factor : the QR budget of a block of n_i rows is
-        max_iter_factor * n_i shifts
+
+    The QR budget of a block of n_i rows is MAX_ITER_FACTOR * n_i shifts.
     """
     if engine not in ("qr", "numpy"):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -536,14 +536,13 @@ def eigenvalues(m, engine="qr", max_iter_factor=MAX_ITER_FACTOR):
         # Handed over as it is: gathering a connected matrix into a copy
         # and scattering its factors back raised the median peak RSS of
         # the benchmark's convergence workload from 53.2 to 54.6 MB.
-        t, q = _schur(a, max_iter_factor=max_iter_factor)
+        t, q = _schur(a)
     else:
         t = np.zeros_like(a)
         q = np.zeros_like(a)
         for idx in blocks:
             block = np.ix_(idx, idx)
-            t[block], q[block] = _schur(a[block],
-                                        max_iter_factor=max_iter_factor)
+            t[block], q[block] = _schur(a[block])
     # Copied before the n x n temporaries below: copied after them, the
     # peak RSS of running the N=24..132 circle scan three times in one
     # process, keeping every result, rose by 0.5 MB.

@@ -184,7 +184,7 @@ def default_rect(cfg: ExperimentConfig, am: ActionMap):
     lo, hi = cfg.window_value()
     s_bounds = sorted((am.cyl.seed_action(lo), am.cyl.seed_action(hi)))
     s_lo, s_hi = s_bounds
-    if getattr(am.cyl, "min_action", None) is not None:
+    if am.cyl.min_action is not None:
         s_lo = max(s_lo, 1e-9)
     samples = np.linspace(s_lo, s_hi, 33)
     vals = am.averaged_value(samples.astype(complex))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from semispec import (ActionMap, CircleSymbol, ConfigError, CriticalLevelError,
-                      ExperimentConfig, InversionError, PlaneSymbol, Rectangle,
-                      parse_circle, predict_spectrum, pullback_action_angle)
-from semispec.action import DEFAULT_NODES
+                      DomainError, ExperimentConfig, InversionError,
+                      PlaneSymbol, Rectangle, action, parse_circle,
+                      predict_spectrum, pullback_action_angle)
+from semispec.action import DEFAULT_NODES, _nodes
 from semispec.experiments import (FIGURE_SYMBOLS, build_action_map,
                                   default_rect, prediction_rule)
 
@@ -52,13 +53,12 @@ class CountingCylinder:
         return self.cyl.value_and_dI(theta, I)
 
 
-def figure_predictions(model, symbol, N=66, num_nodes=DEFAULT_NODES):
+def figure_predictions(model, symbol, N=66):
     """principal_exact prediction of a figure symbol, with its action map
     (cylinder wrapped in CountingCylinder) and the quantized action of
     each point."""
     cfg = ExperimentConfig(model=model, symbol=symbol, N=N, delta=0.5)
     am = build_action_map(cfg)
-    am.num_nodes = num_nodes
     rect = default_rect(cfg, am)
     am.cyl = CountingCylinder(am.cyl)
     rule = prediction_rule(cfg)
@@ -91,7 +91,7 @@ class TestLevelSet:
         # oracle: I + i*eps*cos(theta) = E solves to I = E - i*eps*cos(theta)
         am = circle_map((0.0, 1.0), COS, 0.1)
         loop = am.solve_level_set(0.7)
-        oracle = 0.7 - 0.1j * np.cos(am.thetas())
+        oracle = 0.7 - 0.1j * np.cos(_nodes(loop.size))
         assert np.abs(loop - oracle).max() <= 1e-11
 
     def test_harmonic_level(self):
@@ -104,7 +104,7 @@ class TestLevelSet:
         E = 0.6 + 0.02j
         loop = am.solve_level_set(E)
         vals = np.array([complex(am.cyl.value(t, I))
-                         for t, I in zip(am.thetas(), loop)])
+                         for t, I in zip(_nodes(loop.size), loop)])
         assert np.abs(vals - E).max() <= 1e-12 * (1 + abs(E))
 
     def test_near_critical_level_error(self):
@@ -141,19 +141,41 @@ def refinements(monkeypatch):
     return calls
 
 
-def grid_levels(am, energies, start=None):
+@pytest.fixture
+def starts(monkeypatch):
+    """Shapes of every starting grid, one per inversion block."""
+    calls = []
+    original = ActionMap._start
+
+    def recording(self, E, near=None):
+        start = original(self, E, near)
+        calls.append(start.shape)
+        return start
+
+    monkeypatch.setattr(ActionMap, "_start", recording)
+    return calls
+
+
+@pytest.fixture
+def grid_levels(monkeypatch):
     """Checked loops on the grid of ``start`` (by default the energies'
-    real seeds on num_nodes), without refinement."""
-    energies = np.atleast_1d(np.asarray(energies, dtype=complex))
-    if start is None:
-        start = am._seed_grid(energies)
-    _, [(_, levels)] = am._settle(energies, start, max_nodes=start.shape[0])
-    return levels
+    real seeds on DEFAULT_NODES), without refinement."""
+    monkeypatch.setattr(action, "MAX_NODES", DEFAULT_NODES)
+
+    def solve(am, energies, start=None):
+        energies = np.atleast_1d(np.asarray(energies, dtype=complex))
+        if start is None:
+            start = am._start(energies)
+        _, [(_, levels)] = am._settle(energies, start)
+        return levels
+
+    return solve
 
 
 class TestGridSolve:
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
-    def test_grid_matches_continuation(self, model, symbol, fallbacks):
+    def test_grid_matches_continuation(self, model, symbol, fallbacks,
+                                       grid_levels):
         cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
         am = build_action_map(cfg)
         pred = predict_spectrum(am, cfg.hbar_value(), "circle_k",
@@ -164,10 +186,11 @@ class TestGridSolve:
         assert not fallbacks
         seeds = np.array([am.cyl.seed_action(e.real) for e in energies],
                          dtype=complex)
-        chain = am._continue_levels(energies, seeds, am.num_nodes)
+        chain = am._continue_levels(energies, seeds, DEFAULT_NODES)
         assert np.abs(grid - chain).max() <= 1e-11
 
-    def test_branch_check_sends_one_energy_to_continuation(self, fallbacks):
+    def test_branch_check_sends_one_energy_to_continuation(self, fallbacks,
+                                                           grid_levels):
         # the far root of I + i*eps*(cos(theta) + I^2) = E sits near i/eps:
         # nodes started there leave the branch of node 0 in one column only
         am = fig1_map(0.1)
@@ -179,24 +202,62 @@ class TestGridSolve:
         assert len(fallbacks) == 1
         assert fallbacks[0].tolist() == [energies[1]]
         chain = am._continue_levels(energies[1:2], start[0, 1:2],
-                                    am.num_nodes)
+                                    DEFAULT_NODES)
         assert np.array_equal(levels[:, 1], chain[:, 0])
         assert np.abs(levels[:, [0, 2]] - start[:, [0, 2]]).max() <= 1e-12
 
     def test_single_inversion_matches_batch(self):
         am = fig1_map(0.12)
         targets = np.linspace(0.1, 0.7, 41)
-        batch = am._invert_batch(targets)
+        batch = am.invert_action(targets)
         for i in (0, 17, 40):
             assert abs(am.invert_action(targets[i]) - batch[i]) <= 1e-15
+
+    def test_scalar_inversion_is_a_batch_of_one(self):
+        # a scalar gives a complex, any array an array of its shape; the
+        # column sums of a one-target block run in their own order, so
+        # bit-identity holds against the batch of one
+        am = fig1_map(0.12)
+        for t in (0.1, 0.43, 0.7):
+            [one] = am.invert_action(np.array([t]))
+            scalar = am.invert_action(t)
+            assert type(scalar) is complex and scalar == one
+            assert am.invert_action([t]).tolist() == [one]
+            zero_d = am.invert_action(np.array(t))
+            assert type(zero_d) is complex and zero_d == one
+        grid = am.invert_action(np.linspace(0.1, 0.7, 6).reshape(2, 3))
+        assert grid.shape == (2, 3)
+        assert am.invert_action([]).shape == (0,)
+
+    @pytest.mark.parametrize("bordered", (False, True))
+    def test_newton_ignores_start_layout(self, bordered):
+        # the column means sum in memory order: an F-ordered start (the
+        # layout np.array gives a broadcast view) must not change a bit
+        am = fig1_map(0.12)
+        targets = np.linspace(0.1, 0.7, 32) + 0j
+        E = np.asarray(am.cyl.f_action(targets), dtype=complex)
+        start = am._start(E, near=targets)
+        thetas = _nodes(DEFAULT_NODES)[:, None]
+        t = targets if bordered else None
+        c_E, c_loops, c_done, _ = am._newton(thetas, start, E, t)
+        f_E, f_loops, _, _ = am._newton(thetas, np.asfortranarray(start), E,
+                                        t)
+        assert c_done.all()
+        assert np.array_equal(c_E, f_E)
+        assert np.array_equal(c_loops, f_loops)
+
+    def test_no_per_instance_settings(self):
+        am = fig1_map(0.12)
+        with pytest.raises(AttributeError):
+            am.num_nodes = 512
 
     def test_refined_batch_matches_single(self, refinements):
         # near the fold 0.47, 0.48 and 0.484 refine to 512, 1024 and 2048
         # nodes inside one batch; each must equal its own inversion
         am = fold_map()
         targets = np.array([0.3, 0.47, 0.2, 0.484, 0.48, 0.1])
-        batch = am._invert_batch(targets)
-        assert refinements[0] == (am.num_nodes, 3)
+        batch = am.invert_action(targets)
+        assert refinements[0] == (DEFAULT_NODES, 3)
         for t, g in zip(targets, batch):
             assert abs(am.invert_action(t) - g) <= 1e-15
 
@@ -222,7 +283,7 @@ class TestGridSolve:
             am.invert_action(0.5)
         E = -64162567.75188988 - 3.48462792e-07j
         seed = np.array([am.cyl.seed_action(E.real)], dtype=complex)
-        loop = am._continue_levels(np.array([E]), seed, am.num_nodes)[:, 0]
+        loop = am._continue_levels(np.array([E]), seed, DEFAULT_NODES)[:, 0]
         assert np.abs(loop).max() > 400
         assert abs(am.action_integral(E) - loop.mean()) <= 1e-10
 
@@ -243,18 +304,18 @@ class TestActionIntegral:
         assert oscillator_map({}, 0.0).action_integral(1.0) \
             == pytest.approx(0.5)
 
-    def test_quadrature_convergence_all_section4_symbols(self):
+    def test_quadrature_convergence_all_section4_symbols(self, monkeypatch):
         # analytic periodic integrand: the starting 128 nodes already meet
         # the Fourier-tail check here, so 512 nodes move nothing
-        for name, factory in SECTION4_MAPS.items():
-            for eps in (0.1, 0.2):
-                coarse = factory(eps)
-                fine_map = factory(eps)
-                fine_map.num_nodes = 512
-                E = 0.5 if name.startswith("cos") else 1.0
-                a = coarse.action_integral(E)
-                b = fine_map.action_integral(E)
-                assert abs(a - b) <= 1e-11, (name, eps)
+        cases = [(name, eps, factory(eps),
+                  0.5 if name.startswith("cos") else 1.0)
+                 for name, factory in SECTION4_MAPS.items()
+                 for eps in (0.1, 0.2)]
+        coarse = [am.action_integral(E) for _, _, am, E in cases]
+        monkeypatch.setattr(action, "DEFAULT_NODES", 512)
+        for (name, eps, am, E), a in zip(cases, coarse):
+            assert am.solve_level_set(E).size == 512
+            assert abs(a - am.action_integral(E)) <= 1e-11, (name, eps)
 
 
     def test_independent_of_call_history(self):
@@ -340,15 +401,16 @@ class TestInversion:
                 am.invert_action(target)
             assert am.cyl.calls <= 3000
 
-    def test_fold_target_refines_to_accuracy(self):
+    def test_fold_target_refines_to_accuracy(self, monkeypatch):
         # the 128-node loop of 0.484 has a Fourier tail of 1.5e-4, and its
         # loops resolve only at 2048 nodes (tail 1.4e-10): the inverse must
         # meet the action of a 4096-node reference, where an inversion that
         # keeps the under-resolved loop misses it by 5e-6 (1.3e-7 at 256)
         g = fold_map().invert_action(0.484)
-        fine = fold_map()
-        fine.num_nodes = 4096
-        assert abs(fine.action_integral(g) - 0.484) <= 1e-12
+        monkeypatch.setattr(action, "DEFAULT_NODES", 4096)
+        loop = fold_map().solve_level_set(g)
+        assert loop.size == 4096
+        assert abs(loop.mean() - 0.484) <= 1e-12
 
     def test_fold_level_set_is_refined(self):
         # the 128-node loop of g misses its target by 5.1e-6; the refined
@@ -356,38 +418,32 @@ class TestInversion:
         am = fold_map()
         g = am.invert_action(0.484)
         loop = am.solve_level_set(g)
-        assert loop.size > am.num_nodes
+        assert loop.size > DEFAULT_NODES
         assert abs(loop.mean() - 0.484) <= 1e-12
 
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
-    def test_evaluations_per_block(self, model, symbol, fallbacks,
-                                   monkeypatch):
+    def test_evaluations_per_block(self, model, symbol, fallbacks, starts):
         # one fused value_and_dI (two evaluations) per bordered Newton
         # step and one to confirm convergence, whose p_I also serves the
         # Jacobian check: measured at most 8 per block of 32 targets (4
         # for x^2 + xi^2 + i*epsilon*x^2)
-        blocks = []
-        original = ActionMap._invert_block
-
-        def recording(self, targets):
-            blocks.append(targets.size)
-            return original(self, targets)
-
-        monkeypatch.setattr(ActionMap, "_invert_block", recording)
         am, pred, _ = figure_predictions(model, symbol)
         assert len(pred.points) >= 50
         assert not fallbacks
-        assert am.cyl.calls <= 10 * len(blocks)
+        assert am.cyl.calls <= 10 * len(starts)
 
     @pytest.mark.parametrize("N", (66, 132))
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
     def test_predictions_match_finer_grid(self, model, symbol, N, fallbacks,
-                                          refinements):
+                                          refinements, starts, monkeypatch):
         # every figure loop is resolved on the starting grid: no target is
         # refined or continued, and 1024 nodes move no point by more than
         # rounding (measured at most 1.0e-14 against 256 nodes)
         _, coarse, _ = figure_predictions(model, symbol, N)
-        _, fine, _ = figure_predictions(model, symbol, N, num_nodes=1024)
+        monkeypatch.setattr(action, "DEFAULT_NODES", 1024)
+        starts.clear()
+        _, fine, _ = figure_predictions(model, symbol, N)
+        assert starts and all(rows == 1024 for rows, _ in starts)
         assert not fallbacks
         assert not refinements
         assert [k for k, _ in coarse.points] == [k for k, _ in fine.points]
@@ -485,6 +541,34 @@ class TestPredictions:
     def test_empty_rectangle_rejected(self):
         with pytest.raises(ConfigError):
             Rectangle(0.5, 0.5, -0.1, 0.1)
+
+    @pytest.mark.parametrize("hbar,offset", ((np.nan, 0.0), (np.inf, 0.0),
+                                             (0.1, np.nan), (0.1, np.inf)))
+    def test_non_finite_hbar_or_offset_rejected(self, hbar, offset):
+        # NaN used to reach math.floor (ValueError), an infinite hbar gave
+        # no points and an infinite offset an OverflowError
+        am = fig1_map(0.1)
+        rect = Rectangle(-0.5, 0.5, -0.1, 0.1)
+        with pytest.raises(ConfigError):
+            predict_spectrum(am, hbar, "circle_k", "principal_exact", rect,
+                             floquet_offset=offset)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", (np.nan, np.inf, complex(np.nan, 1.0)))
+    @pytest.mark.parametrize("query", ("solve_level_set", "action_integral",
+                                       "action_derivative", "invert_action"))
+    def test_domain_error_before_newton(self, query, value):
+        am = fig1_map(0.1)
+        am.cyl = CountingCylinder(am.cyl)
+        with pytest.raises(DomainError):
+            getattr(am, query)(value)
+        assert am.cyl.calls == 0
+
+    def test_one_non_finite_target_rejects_the_batch(self):
+        am = fig1_map(0.1)
+        with pytest.raises(DomainError):
+            am.invert_action([0.3, np.nan, 0.5])
 
 
 class TestOscillatorChart:

@@ -219,19 +219,21 @@ class TestErrors:
         assert np.array_equal(res.residuals, ref.residuals)
         assert res.source_fingerprint == ref.source_fingerprint
 
-    def test_shift_budget_exhaustion(self, rng):
+    def test_shift_budget_exhaustion(self, rng, monkeypatch):
         # this matrix needs 406 shifts: 322 in the single-shift sweeps of
         # 24 windows and 84 in 14 multishift sweeps, so a budget of 360
         # fails only when a multishift sweep counts each of its shifts
         m = random_complex(rng, 60)
+        monkeypatch.setattr(eig, "MAX_ITER_FACTOR", 6)
         with pytest.raises(SolverError, match="within 360 shifts") as exc:
-            eigenvalues(m, max_iter_factor=6)
+            eigenvalues(m)
         assert exc.value.partial.shape == (60, 60)
 
-    def test_nonconvergence_carries_partial_form(self, rng):
+    def test_nonconvergence_carries_partial_form(self, rng, monkeypatch):
         m = random_complex(rng, 12)
+        monkeypatch.setattr(eig, "MAX_ITER_FACTOR", 0)
         with pytest.raises(SolverError) as exc:
-            eigenvalues(m, max_iter_factor=0)
+            eigenvalues(m)
         assert exc.value.partial is not None
         assert exc.value.partial.shape == (12, 12)
 
@@ -445,14 +447,15 @@ class TestBlocks:
         [whole] = schur_inputs
         assert np.array_equal(whole, m)
 
-    def test_exhausted_block_raises(self, rng):
+    def test_exhausted_block_raises(self, rng, monkeypatch):
         # the triangular 2 x 2 block needs no shift, the random 12 x 12
         # block runs out of its budget of 0 shifts
         m = np.zeros((14, 14), dtype=complex)
         m[:2, :2] = [[1.0, 2.0], [0.0, 3.0]]
         m[2:, 2:] = random_complex(rng, 12)
+        monkeypatch.setattr(eig, "MAX_ITER_FACTOR", 0)
         with pytest.raises(SolverError, match="within 0 shifts") as exc:
-            eigenvalues(m, max_iter_factor=0)
+            eigenvalues(m)
         assert exc.value.partial.shape == (12, 12)
 
 

@@ -79,6 +79,25 @@ INVERSION_TOL = 1e-11
 GRID_CELLS = 4096  # nodes x targets per inversion block: bounds memory
 
 
+def floquet_offset_value(offset):
+    """The Floquet offset J as a float, if it can be quantized.
+
+    The quantized action hbar*(k [+ 1/2]) - J is taken in doubles, so at
+    |J| * u > INVERSION_TOL (|J| above about 4.5e4) the difference can no
+    longer resolve the inversion tolerance: at J = 1e20 every point
+    collapsed to one value.  Such an offset, and a non-finite one, raise
+    ConfigError.
+    """
+    j = float(offset)
+    if not math.isfinite(j):
+        raise ConfigError(f"floquet offset must be finite, got {j!r}")
+    if abs(j) * np.finfo(float).eps > INVERSION_TOL:
+        raise ConfigError(
+            f"floquet offset {j!r} is too large to quantize: "
+            f"|J| * u exceeds the inversion tolerance {INVERSION_TOL}")
+    return j
+
+
 def parse_floats(text, what, names):
     """Comma-separated floats, one per name (the --rect and --window form)."""
     parts = [p.strip() for p in text.split(",")]
@@ -401,7 +420,8 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
     at hbar*(k + 1/2) (turning-point correction).  mode "principal_exact"
     inverts the action map by Newton; "averaged_first_order" uses the
     closed-form first-order shift instead.  The Floquet offset J moves
-    the quantized action to hbar*k - J (default 0).
+    the quantized action to hbar*k - J (default 0); floquet_offset_value
+    checks it.
     """
     if rule not in ("circle_k", "line_maslov"):
         raise ConfigError(f"unknown rule {rule!r}")
@@ -410,9 +430,7 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
     if not (math.isfinite(hbar) and hbar > 0):
         raise ConfigError(f"hbar must be finite and positive, got {hbar!r}")
     half = 0.5 if rule == "line_maslov" else 0.0
-    j_off = float(floquet_offset)
-    if not math.isfinite(j_off):
-        raise ConfigError(f"floquet_offset must be finite, got {j_off!r}")
+    j_off = floquet_offset_value(floquet_offset)
 
     i_bounds = sorted((am.cyl.seed_action(rect.re_min),
                        am.cyl.seed_action(rect.re_max)))

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .action import ActionMap, Rectangle, predict_spectrum
+from .action import (ActionMap, Rectangle, floquet_offset_value,
+                     predict_spectrum)
 from .circle_quantize import quantize_circle
 from .compare import PairingSummary, pair_spectra, summarize_pairs
 from .eig import eigenvalues_of
@@ -66,9 +67,7 @@ class ExperimentConfig:
             raise ConfigError("N must be >= 1")
         if self.epsilon is not None and self.delta is not None:
             raise ConfigError("give either epsilon or delta, not both")
-        if not math.isfinite(self.floquet_offset):
-            raise ConfigError(
-                f"floquet-offset must be finite, got {self.floquet_offset!r}")
+        floquet_offset_value(self.floquet_offset)
         if self.window is not None:
             lo, hi = self.window
             if not lo < hi:

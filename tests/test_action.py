@@ -553,6 +553,28 @@ class TestPredictions:
             predict_spectrum(am, hbar, "circle_k", "principal_exact", rect,
                              floquet_offset=offset)
 
+    @pytest.mark.parametrize("offset", (1e20, -1e20, 1e300))
+    def test_offset_too_large_to_quantize_rejected(self, offset):
+        # hbar*k - J cancelled every digit of the action: at J = 1e20 all
+        # seven points came out at -0.0005j
+        am = fig1_map(0.1)
+        rect = Rectangle(-0.5, 0.5, -0.1, 0.1)
+        with pytest.raises(ConfigError, match="too large"):
+            predict_spectrum(am, 1 / 66, "circle_k", "principal_exact", rect,
+                             floquet_offset=offset)
+
+    @pytest.mark.parametrize("offset", (0.0, 0.3 / 66, 1.0, 4e4))
+    def test_offset_within_resolution_accepted(self, offset):
+        # 4e4 * u = 8.9e-12 still resolves INVERSION_TOL = 1e-11
+        am = fig1_map(0.1)
+        hbar = 1 / 66
+        rect = Rectangle(-0.5, 0.5, -0.1, 0.1)
+        pred = predict_spectrum(am, hbar, "circle_k", "principal_exact",
+                                rect, floquet_offset=offset)
+        assert len(pred.points) >= 66
+        for k, lam in pred.points[::8]:
+            assert abs(lam - am.invert_action(hbar * k - offset)) <= 1e-10
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("value", (np.nan, np.inf, complex(np.nan, 1.0)))

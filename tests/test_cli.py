@@ -226,6 +226,13 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_floquet_offset_too_large_is_2(self, tmp_path, capsys):
+        code = run(["predict", *PREDICT_FIG, "--floquet-offset", "1e20",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("predictions_*"))
+
     def test_numeric_failure_is_3(self, tmp_path, capsys):
         # f = I^2 is critical at the center of this window: the level-set
         # Newton hits |dp/dI| ~ 0 and the predict stage must report it

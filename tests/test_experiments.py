@@ -29,6 +29,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(model="circle", symbol=FIG1, epsilon=0.1, delta=0.5)
 
+    @pytest.mark.parametrize("offset", (1e20, 1e300))
+    def test_floquet_offset_too_large_rejected(self, offset):
+        with pytest.raises(ConfigError, match="too large"):
+            ExperimentConfig(model="circle", symbol=FIG1, N=66,
+                             floquet_offset=offset)
+
     def test_trusted_window(self):
         circle = ExperimentConfig(model="circle", symbol=FIG1, N=50)
         assert circle.trusted_window() == (-0.8, 0.8)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from semispec import ConfigError, PlaneSymbol, ladder, quantize_plane, weyl_monomial
+from semispec.experiments import (FIGURE_SYMBOLS, ExperimentConfig,
+                                  build_operator)
 from semispec.fock_quantize import parity_matrix
 
 
@@ -97,6 +99,15 @@ class TestWeylOrdering:
                 scale = max(1.0, np.abs(oracle).max())
                 assert np.abs(got - oracle).max() <= 1e-12 * scale, (m, n)
 
+    def test_monomial_parity_under_transpose_is_exact(self):
+        # X^T = X and Xi^T = -Xi, so Op(x^m xi^n)^T = (-1)^n Op(x^m xi^n)
+        lp = ladder(14, 0.37)
+        x, xi = lp.position(), lp.momentum()
+        for m in range(5):
+            for n in range(5):
+                got = weyl_monomial(x, xi, m, n)
+                assert np.array_equal(got, (-1) ** n * got.T), (m, n)
+
 
 class TestQuantizePlane:
     def test_harmonic_oscillator_exact(self):
@@ -133,6 +144,14 @@ class TestQuantizePlane:
         d = parity_matrix(op.dimension)
         m = op.matrix
         assert np.abs(d @ m.conj() @ d - m).max() <= 1e-15 * (1 + np.abs(m).max())
+
+    @pytest.mark.parametrize("name", ["figure07", "figure08"])
+    def test_figure_matrices_exactly_symmetric(self, name):
+        # the products alone missed M == M.T in 30 and 46 entries at N=66
+        model, symbol, _ = FIGURE_SYMBOLS[name]
+        cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
+        m = build_operator(cfg)[1].matrix
+        assert np.array_equal(m, m.T)
 
     def test_basis_metadata(self):
         sym = plane({(3, 0): 1.0}, 0.1)

@@ -21,9 +21,10 @@ Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
 * A window of at most MULTISHIFT_MIN rows goes to Schur form in one go,
   on a copy, by explicitly shifted single-shift QR sweeps (Wilkinson
   shift, and an exceptional shift every EXCEPTIONAL_EVERY-th sweep
-  without a deflation at the bottom).  Each Givens rotation is one 2x2
-  product on a row pair and one on a column pair; the rest of H and Q^T
-  take the window's accumulated unitary as matrix products.
+  without a deflation at the bottom).  Each sweep is one Householder QR
+  factorization of the unreduced block minus the shift (np.linalg.qr)
+  and three products with its Q; the rest of H and Q^T take the
+  window's accumulated unitary as matrix products.
 * A larger window first tries aggressive early deflation (Part II) on its
   trailing ns = min(MAX_SHIFTS, size // ROWS_PER_SHIFT) rows: the
   trailing block's Schur form (by the single-shift QR above) turns the
@@ -40,10 +41,11 @@ Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
 * Every EXCEPTIONAL_EVERY-th multishift sweep without a deflation at the
   bottom chases one bulge with an exceptional shift instead.
 
-Only unitary transformations (reflections and Givens rotations) touch H
-and Q, and they are accumulated so a Schur factorization A = Q T Q^H is
-available for the backward-error estimate.  No platform eigenroutine is
-called.
+Only unitary transformations (reflections, QR factors and Givens
+rotations) touch H and Q, and they are accumulated so a Schur
+factorization A = Q T Q^H is available for the backward-error estimate.
+The sweeps call the platform QR factorization (np.linalg.qr), but no
+platform eigenroutine is called.
 
 ``engine="numpy"`` substitutes the platform routine behind the same
 contract; downstream code only sees SpectrumResult.  It solves the whole
@@ -174,22 +176,22 @@ def _apply_window(h, qt, a, b, u):
 def _qr_sweep(h, u, lo, hi, mu):
     """One explicitly shifted QR step H - mu = QR, H <- RQ + mu on [lo, hi].
 
-    H is the whole matrix of a window; u collects the rotations.
+    H is the whole matrix of a window, and u collects the step the way
+    Q^T's rows take it.  The step is one Householder QR factorization of
+    the window's block and three products: Q^H on the rows to its right,
+    Q on the columns above it and Q^T on u's rows.  RQ is Hessenberg in
+    exact arithmetic; whatever the factorization leaves below its
+    subdiagonal is set to exact zero.  A Givens step differs from this one
+    only by a diagonal unitary similarity, which leaves the diagonal and
+    every |h_ij|, and so each deflation test, as they are.
     """
-    idx = np.arange(lo, hi + 1)
-    h[idx, idx] -= mu
-    rots = []
-    for k in range(lo, hi):
-        g, r = _givens(complex(h[k, k]), complex(h[k + 1, k]))
-        h[k:k + 2, k + 1:] = g @ h[k:k + 2, k + 1:]
-        h[k, k] = r
-        h[k + 1, k] = 0.0
-        rots.append(g.conj())
-    for k, gc in enumerate(rots, lo):
-        stop = min(k + 2, hi) + 1
-        h[:stop, k:k + 2] = h[:stop, k:k + 2] @ gc.T
-        u[k:k + 2] = gc @ u[k:k + 2]
-    h[idx, idx] += mu
+    w = slice(lo, hi + 1)
+    shift = mu * np.eye(hi - lo + 1)
+    q, r = np.linalg.qr(h[w, w] - shift)
+    h[w, w] = np.triu(r @ q, -1) + shift
+    h[w, hi + 1:] = q.conj().T @ h[w, hi + 1:]
+    h[:lo, w] = h[:lo, w] @ q
+    u[w] = q.T @ u[w]
 
 
 def _pairs(x, nb):
@@ -322,9 +324,10 @@ class _OutOfShifts(Exception):
 def _small_schur(h, budget):
     """Schur form of a small Hessenberg matrix in place, by single-shift QR.
 
-    Each sweep takes a Wilkinson shift, and every EXCEPTIONAL_EVERY-th
-    sweep without a deflation at the bottom an exceptional one.  Returns
-    u, the rotations collected as Q^T's rows take them (H on entry is
+    Each sweep (_qr_sweep, one QR factorization of the unreduced block)
+    takes a Wilkinson shift, and every EXCEPTIONAL_EVERY-th sweep without
+    a deflation at the bottom an exceptional one.  Returns u, the
+    transformations collected as Q^T's rows take them (H on entry is
     u^T T conj(u)), and the number of shifts spent; raises _OutOfShifts
     rather than spend more than budget.
     """

@@ -63,6 +63,26 @@ def assert_agrees_with_numpy_engine(m):
     return mine
 
 
+def givens_sweep(h, u, lo, hi, mu):
+    """Reference shifted QR step on [lo, hi] by Givens rotations: each
+    zeroes one subdiagonal entry of H - mu, with r >= 0 on the diagonal of
+    R, and is applied as 2x2 products on a row pair and a column pair."""
+    idx = np.arange(lo, hi + 1)
+    h[idx, idx] -= mu
+    rots = []
+    for k in range(lo, hi):
+        g, r = eig._givens(complex(h[k, k]), complex(h[k + 1, k]))
+        h[k:k + 2, k + 1:] = g @ h[k:k + 2, k + 1:]
+        h[k, k] = r
+        h[k + 1, k] = 0.0
+        rots.append(g.conj())
+    for k, gc in enumerate(rots, lo):
+        stop = min(k + 2, hi) + 1
+        h[:stop, k:k + 2] = h[:stop, k:k + 2] @ gc.T
+        u[k:k + 2] = gc @ u[k:k + 2]
+    h[idx, idx] += mu
+
+
 @pytest.fixture
 def schur_inputs(monkeypatch):
     """A copy of every matrix eig._schur is handed, in order."""
@@ -378,6 +398,37 @@ class TestMultishift:
             "print('scipy.linalg' in sys.modules,"
             " 'scipy.sparse' in sys.modules)\n")
         assert run_python(script).split() == ["False", "False"]
+
+
+class TestSweep:
+    """The single-shift QR step as one Householder factorization."""
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 12, 20, 33, 40])
+    def test_matches_givens_step(self, rng, m):
+        # a window [lo, hi] with rows above it and columns to its right
+        lo, n = 5, m + 11
+        hi = lo + m - 1
+        h0 = np.triu(random_complex(rng, n), -1)
+        h0[lo, lo - 1] = h0[hi + 1, hi] = 0.0
+        mu = complex(rng.standard_normal(), rng.standard_normal())
+        h, u = h0.copy(), np.eye(n, dtype=complex)
+        eig._qr_sweep(h, u, lo, hi, mu)
+        ref, ref_u = h0.copy(), np.eye(n, dtype=complex)
+        givens_sweep(ref, ref_u, lo, hi, mu)
+        tol = 10 * m * U * np.linalg.norm(h0)
+        assert not np.tril(h, -2).any()
+        # the two steps differ by a diagonal unitary similarity
+        assert np.abs(np.diag(h) - np.diag(ref)).max() <= tol
+        assert np.abs(np.abs(h) - np.abs(ref)).max() <= tol
+        assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 10 * m * U
+        assert np.linalg.norm(u.T @ h @ u.conj() - h0) <= tol
+        # rows and columns outside the window take no rotation
+        outside = np.ones(n, dtype=bool)
+        outside[lo:hi + 1] = False
+        assert np.array_equal(u[outside], np.eye(n)[outside])
+        assert np.array_equal(h[np.ix_(outside, outside)],
+                              h0[np.ix_(outside, outside)])
+
 
 
 class TestBlocks:

@@ -16,10 +16,11 @@ Monomials x^m xi^n are symmetric-ordered through the binomial identity
 
 which equals the average over all interleavings of m X-factors and n
 Xi-factors.  X is symmetric and Xi antisymmetric, so Op(x^m xi^n) is
-symmetric for even n and antisymmetric for odd n; the matrix is averaged
-with its (signed) transpose so that this holds exactly.  Matrices are assembled at padded dimension N+1+deg(symbol)
-and truncated afterwards: products of truncated ladders corrupt only the
-trailing deg rows/columns, so padding keeps the retained block exact.
+symmetric for even n and antisymmetric for odd n; the sum is averaged
+with its signed transpose so that this holds exactly.  Matrices are
+assembled at padded dimension N+1+deg(symbol) and truncated afterwards:
+products of truncated ladders corrupt only the trailing deg rows/columns,
+so padding keeps the retained block exact.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ def weyl_monomial(x_op: np.ndarray, xi_op: np.ndarray, m: int, n: int):
     acc = np.zeros((dim, dim), dtype=complex)
     for k in range(m + 1):
         acc += math.comb(m, k) * (x_pows[k] @ xi_n @ x_pows[m - k])
-    # Op^T = (-1)^n Op since X^T = X and Xi^T = -Xi; averaging with the
-    # transpose makes that exact, where the products alone miss it by
-    # rounding
+    # the products alone miss Op^T = (-1)^n Op by rounding
     return (acc + (-1) ** n * acc.T) / 2.0 ** (m + 1)
 
 

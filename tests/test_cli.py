@@ -212,10 +212,11 @@ class TestExitCodes:
         ["predict", *PREDICT_FIG, "--rect=-inf,inf,-1,1", "--out", "{tmp}"],
         ["predict", *PREDICT_FIG, "--floquet-offset=nan", "--out", "{tmp}"],
         ["predict", *PREDICT_FIG, "--floquet-offset=inf", "--out", "{tmp}"],
+        ["predict", *PREDICT_FIG, "--floquet-offset", "1e20", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "config-missing",
             "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
-            "floquet-offset-inf"])
+            "floquet-offset-inf", "floquet-offset-too-large"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
         (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
         (tmp_path / "no_basis.json").write_text(
@@ -225,13 +226,6 @@ class TestExitCodes:
         code = run([a.format(tmp=tmp_path) for a in argv])
         assert code == 2
         assert "config error" in capsys.readouterr().err
-
-    def test_floquet_offset_too_large_is_2(self, tmp_path, capsys):
-        code = run(["predict", *PREDICT_FIG, "--floquet-offset", "1e20",
-                    "--out", str(tmp_path)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
-        assert not list(tmp_path.glob("predictions_*"))
 
     def test_numeric_failure_is_3(self, tmp_path, capsys):
         # f = I^2 is critical at the center of this window: the level-set

@@ -422,13 +422,12 @@ class TestSweep:
         assert np.abs(np.abs(h) - np.abs(ref)).max() <= tol
         assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 10 * m * U
         assert np.linalg.norm(u.T @ h @ u.conj() - h0) <= tol
-        # rows and columns outside the window take no rotation
+        # rows and columns outside the window are left alone
         outside = np.ones(n, dtype=bool)
         outside[lo:hi + 1] = False
         assert np.array_equal(u[outside], np.eye(n)[outside])
         assert np.array_equal(h[np.ix_(outside, outside)],
                               h0[np.ix_(outside, outside)])
-
 
 
 class TestBlocks:

@@ -162,7 +162,7 @@ def _rotate_pair(h, u, k, g, start, row_stop):
 
 
 def _apply_window(h, qt, a, b, u):
-    """Carry the rotations u collected on the window [a, b] to the rest.
+    """Carry the unitary u collected on the window [a, b] to the rest.
 
     The window's rows to its right take conj(u), its columns above it u^T
     (the inverse, conj(u)^H), and Q^T's rows a..b take u, each as one

@@ -360,53 +360,32 @@ def _small_schur(h, budget):
     return u, spent
 
 
-def _swap(t, u, k):
-    """Exchange the diagonal entries k, k+1 of the triangular T in place.
-
-    The rotation G takes the eigenvector (T[k, k+1], T[k+1, k+1] - T[k, k])
-    of T[k+1, k+1] to a multiple of e_k, so G T G^H stays triangular with
-    the two entries exchanged; u collects conj(G) on its rows.
-    """
-    t11, t22 = t[k, k], t[k + 1, k + 1]
-    g, _ = _givens(complex(t[k, k + 1]), complex(t22 - t11))
-    _rotate_pair(t, u, k, g, k, k + 2)
-    t[k, k], t[k + 1, k + 1] = t22, t11
-    t[k + 1, k] = 0.0
-
-
 def _early_deflation(h, qt, lo, hi, nw, budget):
     """Aggressive early deflation on the trailing nw rows of [lo, hi].
 
     The window W = H[kw:, kw:], kw = hi - nw + 1, goes to Schur form
     T = U W U^H, which turns the one entry s = H[kw, kw-1] of column kw-1
-    into the spike s * U[:, 0].  From the bottom up, an eigenvalue whose
+    into the spike s * U[:, 0].  From the bottom up, each eigenvalue whose
     spike entry is at most DEFLATION_TOL * |T[i, i]| deflates where it
-    is; any other is moved up by adjacent swaps, above those kept before
-    it.  When some deflated, the spike is cut to the undeflated rows, one
+    is, up to the first that fails; it and every eigenvalue above it stay.
+    When some deflated, the spike is cut to the undeflated rows, one
     Householder reflection takes it to a multiple of e_1, _hessenberg
     restores the undeflated block, and the window's transformation
     reaches the rest of H and Q^T by products.  When none deflated, H is
     left as it was.
 
     Returns the number deflated, the undeflated eigenvalues (the next
-    sweep's shifts) and the shifts the window's Schur form spent.
+    sweep's shifts, in Schur order) and the shifts the window's Schur
+    form spent.
     """
     kw = hi - nw + 1
     s = complex(h[kw, kw - 1])
     t = h[kw:hi + 1, kw:hi + 1].copy()
     u, spent = _small_schur(t, budget)
-    # rows [0, top) hold the undeflatable eigenvalues moved up so far,
-    # [top, keep) those still to test, [keep, nw) the deflated ones
     keep = nw
-    top = 0
-    while top < keep:
-        i = keep - 1
-        if abs(s * u[i, 0]) <= DEFLATION_TOL * abs(t[i, i]):
-            keep -= 1
-            continue
-        for k in range(i - 1, top - 1, -1):
-            _swap(t, u, k)
-        top += 1
+    while keep and abs(s * u[keep - 1, 0]) \
+            <= DEFLATION_TOL * abs(t[keep - 1, keep - 1]):
+        keep -= 1
     shifts = np.diagonal(t)[:keep].copy()
     if keep == nw:
         return 0, shifts, spent

@@ -529,18 +529,6 @@ class TestWindows:
         assert np.abs(h1 - h).max() <= 1e-13
         assert np.abs(qt1 - qt).max() <= 1e-13
 
-    def test_swap_exchanges_diagonal_entries(self, rng):
-        n, k = 7, 3
-        t0 = np.triu(random_complex(rng, n))
-        t, u = t0.copy(), np.eye(n, dtype=complex)
-        eig._swap(t, u, k)
-        assert not np.tril(t, -1).any()
-        assert t[k, k] == t0[k + 1, k + 1] and t[k + 1, k + 1] == t0[k, k]
-        assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 10 * n * U
-        # T0 = U^H T U with U = conj(u)
-        assert np.linalg.norm(u.T @ t @ u.conj() - t0) \
-            <= 10 * n * U * np.linalg.norm(t0)
-
     def test_early_deflation_of_decoupled_block(self, rng):
         # H[56, 55] inside the trailing window of 8 rows is negligible, so
         # the window's bottom 4 eigenvalues have spike entries near 1e-17

@@ -71,7 +71,6 @@ MULTISHIFT_MIN = 40  # larger windows take multishift sweeps
 ROWS_PER_SHIFT = 8
 MAX_SHIFTS = 32
 BULGE_SPACING = 3  # the least spacing that keeps bulges independent
-CHUNK_STEPS = 16  # chain steps chased inside one diagonal window
 NIBBLE = 0.14  # early deflation of this share of its window skips the sweep
 
 
@@ -205,7 +204,7 @@ def _pairs(x, nb):
         x, (nb, 2, x.shape[1]), (BULGE_SPACING * rs, rs, cs))
 
 
-def _chain_step(h, u, lo, hi, pmin, pmax, mu, a=0):
+def _chain_step(h, qt, lo, hi, pmin, pmax, mu):
     """Move every bulge at rows pmin, pmin+3, ..., pmax down by one row.
 
     A bulge at row p > lo is the entry H[p+1, p-1]; its rotation on rows
@@ -214,14 +213,10 @@ def _chain_step(h, u, lo, hi, pmin, pmax, mu, a=0):
     from the first column of H - mu.  Bulges three rows apart touch
     disjoint row pairs and column pairs and read entries the others leave
     alone, so all rotations are computed first and applied as one batched
-    2x2 product on strided views: the same result, up to rounding, as
-    chasing the bulges one by one from the lowest up.
-
-    The rotations reach only the window [a, b] of H, b = a + len(u) - 1,
-    and u collects them on its rows p - a, p + 1 - a; with a = 0 and
-    u = Q^T the step covers the whole matrix.
+    2x2 product on strided views of H's rows, H's columns and Q^T's rows:
+    the same result, up to rounding, as chasing the bulges one by one from
+    the lowest up.
     """
-    b = a + u.shape[0] - 1
     nb = (pmax - pmin) // BULGE_SPACING + 1
     rows = np.arange(pmin, pmax + 1, BULGE_SPACING)
     cols = rows - 1
@@ -240,16 +235,16 @@ def _chain_step(h, u, lo, hi, pmin, pmax, mu, a=0):
     gc[:, 0, 1] = s
     gc[:, 1, 0] = -s.conj()
     gc[:, 1, 1] = c.conj()
-    view = _pairs(h[pmin:, pmin:b + 1], nb)
+    view = _pairs(h[pmin:, pmin:], nb)
     view[...] = gc.conj() @ view
     if mu is not None:
         rows, cols, r = rows[1:], cols[1:], r[1:]
     h[rows, cols] = r
     h[rows + 1, cols] = 0.0
     row_stop = min(pmax + 2, hi) + 1
-    view = _pairs(h[a:row_stop, pmin:].T, nb)  # (H G^H)^T = conj(G) H^T
+    view = _pairs(h[:row_stop, pmin:].T, nb)  # (H G^H)^T = conj(G) H^T
     view[...] = gc @ view
-    view = _pairs(u[pmin - a:], nb)
+    view = _pairs(qt[pmin:], nb)
     view[...] = gc @ view
 
 
@@ -270,22 +265,10 @@ def _chain_steps(lo, hi, ns):
 
 
 def _multishift_sweep(h, qt, lo, hi, shifts):
-    """Chase one single-shift bulge per shift through the window [lo, hi].
-
-    The steps go in chunks of CHUNK_STEPS.  A chunk rotates only the
-    diagonal block [a, b] its bulges touch, collecting the rotations in a
-    small unitary u, and the rest of H and Q^T take u as matrix products.
-    """
-    steps = list(_chain_steps(lo, hi, len(shifts)))
-    for i in range(0, len(steps), CHUNK_STEPS):
-        chunk = steps[i:i + CHUNK_STEPS]
-        a = min(pmin for pmin, _, _ in chunk)
-        b = min(max(pmax for _, pmax, _ in chunk) + 2, hi)
-        u = np.eye(b - a + 1, dtype=complex)
-        for pmin, pmax, entering in chunk:
-            mu = None if entering is None else shifts[entering]
-            _chain_step(h, u, lo, hi, pmin, pmax, mu, a)
-        _apply_window(h, qt, a, b, u)
+    """Chase one single-shift bulge per shift through the window [lo, hi]."""
+    for pmin, pmax, entering in _chain_steps(lo, hi, len(shifts)):
+        mu = None if entering is None else shifts[entering]
+        _chain_step(h, qt, lo, hi, pmin, pmax, mu)
 
 
 def _triangularize_2x2(h, u, lo):

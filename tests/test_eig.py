@@ -510,24 +510,7 @@ class TestBlocks:
 
 
 class TestWindows:
-    """Chains chased inside diagonal windows, and aggressive early
-    deflation on the trailing window."""
-
-    def test_windowed_chase_equals_unwindowed(self, rng):
-        n, lo, hi, ns = 60, 5, 54, 6
-        h = np.triu(random_complex(rng, n), -1)
-        h[lo, lo - 1] = h[hi + 1, hi] = 0.0
-        shifts = rng.standard_normal(ns) + 1j * rng.standard_normal(ns)
-        steps = list(eig._chain_steps(lo, hi, ns))
-        assert len(steps) > 3 * eig.CHUNK_STEPS
-        h1, qt1 = h.copy(), np.eye(n, dtype=complex)
-        eig._multishift_sweep(h1, qt1, lo, hi, shifts)
-        qt = np.eye(n, dtype=complex)
-        for pmin, pmax, entering in steps:
-            mu = None if entering is None else shifts[entering]
-            eig._chain_step(h, qt, lo, hi, pmin, pmax, mu)
-        assert np.abs(h1 - h).max() <= 1e-13
-        assert np.abs(qt1 - qt).max() <= 1e-13
+    """Aggressive early deflation on the trailing window."""
 
     def test_early_deflation_of_decoupled_block(self, rng):
         # H[56, 55] inside the trailing window of 8 rows is negligible, so

@@ -107,13 +107,14 @@ def _reflector(x):
     return v / np.linalg.norm(v)
 
 
-def _hessenberg(a):
-    """Unitary reduction A = Q H Q^H with H upper Hessenberg; returns H, Q^T.
+def _hessenberg(a, scale=1.0):
+    """Unitary reduction scale * A = Q H Q^H, H Hessenberg; returns H, Q^T.
 
-    A column already zero below the subdiagonal needs no reflector, so a
+    The factor is taken in the one (row-major) copy of A made here.  A
+    column already zero below the subdiagonal needs no reflector, so a
     tridiagonal or banded input keeps its entries exactly.
     """
-    h = a.astype(complex).copy()
+    h = np.multiply(a, scale, dtype=complex, order="C")
     n = h.shape[0]
     qt = np.eye(n, dtype=complex)
     for k in range(n - 2):
@@ -387,14 +388,14 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
     return nw - keep, shifts, spent
 
 
-def _schur(a):
-    """Complex Schur form A = Q T Q^H by shifted QR on the Hessenberg form.
+def _schur(a, scale=1.0):
+    """Complex Schur form scale * A = Q T Q^H by shifted QR on Hessenberg H.
 
     The budget MAX_ITER_FACTOR * n counts shifts: a single-shift sweep
     spends one, also inside an early-deflation block, and a multishift
     sweep one per bulge.
     """
-    h, qt = _hessenberg(a)
+    h, qt = _hessenberg(a, scale)
     n = h.shape[0]
     budget = MAX_ITER_FACTOR * n
     total = 0
@@ -427,7 +428,7 @@ def _schur(a):
         except _OutOfShifts:
             raise SolverError(
                 f"QR iteration did not converge within {budget} shifts",
-                partial=h.copy()) from None
+                partial=h / scale) from None
         total += spent
         if deflated >= NIBBLE * ns:
             continue
@@ -486,33 +487,42 @@ def eigenvalues(m, engine="qr"):
     if not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
     fingerprint = matrix_fingerprint(a)
-    norm = np.linalg.norm(a, ord="fro")
+    # Both engines solve scale * A, scale = 2**-e exactly, e the binary
+    # exponent of max |a_ij| clipped to the normal range, so that neither
+    # the norm nor the shifts under- or overflow.
+    info = np.finfo(float)
+    e = math.frexp(np.abs(a).max())[1]
+    scale = 2.0 ** -min(max(e, info.minexp), info.maxexp - 1)
+    norm = np.linalg.norm(scale * a, ord="fro")
     if norm == 0.0:
         lams = np.zeros(a.shape[0], dtype=complex)
         return _assemble(lams, np.zeros(a.shape[0]), fingerprint, engine)
 
     if engine == "numpy":
-        lams, vecs = np.linalg.eig(a)
-        res = np.linalg.norm(a @ vecs - vecs * lams[None, :], axis=0) / norm
-        return _assemble(lams, res, fingerprint, engine)
+        lams, vecs = np.linalg.eig(scale * a)
+        res = np.linalg.norm(scale * a @ vecs - vecs * lams[None, :],
+                             axis=0) / norm
+        return _assemble(lams / scale, res, fingerprint, engine)
 
     blocks = _blocks(a)
     if len(blocks) == 1:
-        # Handed over as it is: gathering a connected matrix into a copy
-        # and scattering its factors back raised the median peak RSS of
-        # the benchmark's convergence workload from 53.2 to 54.6 MB.
-        t, q = _schur(a)
+        # Handed over as it is, the factor taken in the copy _hessenberg
+        # makes: gathering a connected matrix into a copy and scattering
+        # its factors back raised the median peak RSS of the benchmark's
+        # convergence workload from 53.2 to 54.6 MB.
+        t, q = _schur(a, scale=scale)
     else:
         t = np.zeros_like(a)
         q = np.zeros_like(a)
         for idx in blocks:
             block = np.ix_(idx, idx)
-            t[block], q[block] = _schur(a[block])
-    # Copied before the n x n temporaries below: copied after them, the
+            t[block], q[block] = _schur(a[block], scale=scale)
+    # Taken out before the n x n temporaries below: copied after them, the
     # peak RSS of running the N=24..132 circle scan three times in one
     # process, keeping every result, rose by 0.5 MB.
-    lams = np.diag(t).copy()
-    backward = np.linalg.norm(q @ t @ q.conj().T - a, ord="fro") / norm
+    lams = np.diag(t) / scale
+    backward = np.linalg.norm(q @ t @ q.conj().T - scale * a,
+                              ord="fro") / norm
     return _assemble(lams, np.full(a.shape[0], backward), fingerprint, engine)
 
 

@@ -56,6 +56,22 @@ class TestQuantizeAndSpectrum:
         assert (old / "spectrum.csv").read_bytes() \
             == (tmp_path / "spectrum.csv").read_bytes()
 
+    @pytest.mark.parametrize("size", [1e-200, 1e160])
+    def test_spectrum_far_from_unit_scale(self, tmp_path, size):
+        # the Fock N=1 operator [[0, s], [s, 0]], eigenvalues -s and s: at
+        # s = 1e-200 its Frobenius norm underflows, at 1e160 s*s overflows
+        (tmp_path / "operator.json").write_text(json.dumps(
+            {"basis": "fock", "N": 1, "hbar": 1.0,
+             "rows": [[0.0, 0.0, size, 0.0], [size, 0.0, 0.0, 0.0]]}))
+        assert run(["spectrum", "--matrix", str(tmp_path / "operator.json"),
+                    "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        lams = np.array([complex(re, im) for re, im, _ in rows]) / size
+        assert np.abs(lams - [-1.0, 1.0]).max() <= 1e-15
+        assert all(0.0 <= res <= 20 * np.finfo(float).eps
+                   for _, _, res in rows)
+
     def test_spectrum_from_symbol(self, tmp_path):
         code = run(["spectrum", "--model", "circle", "--symbol", "I",
                     "--N", "4", "--out", str(tmp_path)])

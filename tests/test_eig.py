@@ -267,6 +267,34 @@ class TestErrors:
             eigenvalues(np.zeros((3, 3)), engine="magma")
 
 
+class TestScale:
+    """Both engines solve scale * M, scale a power of two that takes
+    max |m_ij| to [0.5, 1), and scale the eigenvalues back."""
+
+    @pytest.mark.parametrize("engine", ["qr", "numpy"])
+    @pytest.mark.parametrize("n", [2, 60])
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
+    def test_agrees_with_unit_scale(self, rng, s, n, engine):
+        m = random_complex(rng, n) * s
+        res = eigenvalues(m, engine=engine)
+        assert 0.0 < res.tolerance <= 10 * n * U
+        vals, kappa = condition_numbers(m / s)
+        norm = np.linalg.norm(m / s)
+        for z in res.eigenvalues:
+            j = int(np.argmin(np.abs(vals * s - z)))
+            tol = 10 * kappa[j] * (res.tolerance + U) * norm
+            assert abs(vals[j] - z / s) <= tol
+
+    @pytest.mark.parametrize("engine", ["qr", "numpy"])
+    @pytest.mark.parametrize("s", [5e-324, 1e-310, 1.7e308])
+    def test_ends_of_the_float_range(self, s, engine):
+        # all-subnormal entries, and entries whose exponent is the largest
+        res = eigenvalues(np.array([[0.0, s], [s, 0.0]]), engine=engine)
+        assert np.abs(np.array(res.eigenvalues) - [-s, s]).max() \
+            <= 10 * U * s + np.nextafter(0.0, 1.0)
+        assert 0.0 < res.tolerance <= 20 * U
+
+
 class TestOperatorEntry:
     def test_truncated_operator_spectrum(self):
         sym = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs={},

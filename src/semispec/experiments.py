@@ -67,7 +67,8 @@ class ExperimentConfig:
             raise ConfigError("N must be >= 1")
         if self.epsilon is not None and self.delta is not None:
             raise ConfigError("give either epsilon or delta, not both")
-        floquet_offset_value(self.floquet_offset)
+        object.__setattr__(self, "floquet_offset",
+                           floquet_offset_value(self.floquet_offset))
         if self.window is not None:
             lo, hi = self.window
             if not lo < hi:

@@ -56,6 +56,14 @@ class TestConfig:
         c = ExperimentConfig(model="circle", symbol=FIG1, N=17)
         assert a.config_hash() != c.config_hash()
 
+    def test_integer_floquet_offset_hashes_as_float(self):
+        a = ExperimentConfig(model="circle", symbol=FIG1, N=16,
+                             floquet_offset=1)
+        b = ExperimentConfig(model="circle", symbol=FIG1, N=16,
+                             floquet_offset=1.0)
+        assert a.canonical_text() == b.canonical_text()
+        assert a.config_hash() == b.config_hash()
+
     def test_default_rect_covers_predictions(self):
         cfg = ExperimentConfig(model="line", symbol=FIG5, N=16, delta=0.5)
         am = build_action_map(cfg)

@@ -140,27 +140,6 @@ def _wilkinson_shift(h, hi):
     return lam1 if abs(lam1 - d) < abs(lam2 - d) else lam2
 
 
-def _givens(a, b):
-    """G = [[conj c, conj s], [-s, c]] and r >= 0 with G @ [a, b] = [r, 0]."""
-    r = math.hypot(abs(a), abs(b))
-    if r == 0.0:
-        return np.eye(2, dtype=complex), 0.0
-    c, s = a / r, b / r
-    return np.array([[c.conjugate(), s.conjugate()], [-s, c]]), r
-
-
-def _rotate_pair(h, u, k, g, start, row_stop):
-    """The similarity G H G^H on rows and columns k, k+1 of H.
-
-    Rows k, k+1 are rotated from column start on, columns k, k+1 above
-    row_stop, and u, which collects the transformations the way Q^T's
-    rows take them, gets conj(G) on its rows k, k+1.
-    """
-    h[k:k + 2, start:] = g @ h[k:k + 2, start:]
-    h[:row_stop, k:k + 2] = h[:row_stop, k:k + 2] @ g.conj().T
-    u[k:k + 2] = g.conj() @ u[k:k + 2]
-
-
 def _apply_window(h, qt, a, b, u):
     """Carry the unitary u collected on the window [a, b] to the rest.
 
@@ -272,23 +251,6 @@ def _multishift_sweep(h, qt, lo, hi, shifts):
         _chain_step(h, qt, lo, hi, pmin, pmax, mu)
 
 
-def _triangularize_2x2(h, u, lo):
-    a, b = complex(h[lo, lo]), complex(h[lo, lo + 1])
-    c, d = complex(h[lo + 1, lo]), complex(h[lo + 1, lo + 1])
-    if c == 0:
-        return
-    s = (a - d) / 2.0
-    r = cmath.sqrt(s * s + b * c)
-    lam = d + s + r if abs(s + r) >= abs(s - r) else d + s - r
-    u1 = (b, lam - a)
-    u2 = (lam - d, c)
-    v = u1 if math.hypot(abs(u1[0]), abs(u1[1])) \
-        >= math.hypot(abs(u2[0]), abs(u2[1])) else u2
-    g, _ = _givens(*v)
-    _rotate_pair(h, u, lo, g, lo, lo + 2)
-    h[lo + 1, lo] = 0.0
-
-
 def _split_point(h, hi):
     """Largest lo <= hi with H[lo, lo-1] negligible (zeroed), else 0."""
     d = np.abs(np.diagonal(h)[:hi + 1])
@@ -327,10 +289,6 @@ def _small_schur(h, budget):
         lo = _split_point(h, hi)
         if lo == hi:
             hi -= 1
-            continue
-        if hi - lo == 1:
-            _triangularize_2x2(h, u, lo)
-            hi = lo - 1
             continue
         if spent >= budget:
             raise _OutOfShifts

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ def assert_agrees_with_numpy_engine(m):
     return mine
 
 
+def givens(a, b):
+    """G = [[conj c, conj s], [-s, c]] and r >= 0 with G @ [a, b] = [r, 0]."""
+    r = math.hypot(abs(a), abs(b))
+    if r == 0.0:
+        return np.eye(2, dtype=complex), 0.0
+    c, s = a / r, b / r
+    return np.array([[c.conjugate(), s.conjugate()], [-s, c]]), r
+
+
 def givens_sweep(h, u, lo, hi, mu):
     """Reference shifted QR step on [lo, hi] by Givens rotations: each
     zeroes one subdiagonal entry of H - mu, with r >= 0 on the diagonal of
@@ -71,7 +82,7 @@ def givens_sweep(h, u, lo, hi, mu):
     h[idx, idx] -= mu
     rots = []
     for k in range(lo, hi):
-        g, r = eig._givens(complex(h[k, k]), complex(h[k + 1, k]))
+        g, r = givens(complex(h[k, k]), complex(h[k + 1, k]))
         h[k:k + 2, k + 1:] = g @ h[k:k + 2, k + 1:]
         h[k, k] = r
         h[k + 1, k] = 0.0
@@ -240,7 +251,7 @@ class TestErrors:
         assert res.source_fingerprint == ref.source_fingerprint
 
     def test_shift_budget_exhaustion(self, rng, monkeypatch):
-        # this matrix needs 406 shifts: 322 in the single-shift sweeps of
+        # this matrix needs 430 shifts: 346 in the single-shift sweeps of
         # 24 windows and 84 in 14 multishift sweeps, so a budget of 360
         # fails only when a multishift sweep counts each of its shifts
         m = random_complex(rng, 60)
@@ -458,6 +469,25 @@ class TestSweep:
                               h0[np.ix_(outside, outside)])
 
 
+class TestSmallSchur:
+    """A 2 x 2 window takes one Wilkinson sweep like any other."""
+
+    @pytest.mark.parametrize("h0", [
+        [[1, 2], [3, 4]], [[0, 1], [-1, 0]], [[1, 1e8], [1e-8, 1]],
+        [[0, 1], [1e-300, 0]], None],
+        ids=["real", "rotation", "graded", "tiny-coupling", "random"])
+    def test_two_by_two_takes_one_sweep(self, rng, h0):
+        h0 = random_complex(rng, 2) if h0 is None \
+            else np.array(h0, dtype=complex)
+        t = h0.copy()
+        u, spent = eig._small_schur(t, budget=10)
+        assert spent == 1
+        assert t[1, 0] == 0
+        assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 20 * U
+        assert np.linalg.norm(u.T @ t @ u.conj() - h0) \
+            <= 20 * U * np.linalg.norm(h0)
+
+
 class TestBlocks:
     """The qr engine solves each exactly decoupled diagonal block of the
     matrix (a component of the nonzero pattern of M + M^T) on its own."""
@@ -558,6 +588,35 @@ class TestWindows:
         assert h[kw + keep, kw + keep - 1] == 0.0
         bottom = np.linalg.eigvals(h0[cut:, cut:])
         assert hausdorff(np.diag(h)[-(n - cut):], bottom) <= 1e-12
+        assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
+            <= 10 * n * U * np.linalg.norm(h0)
+
+    def test_early_deflation_stops_at_first_kept(self, rng, monkeypatch):
+        # spike entries from the bottom: negligible, large, negligible;
+        # only the bottom eigenvalue deflates, and the rest are the shifts
+        n, nw = 12, 6
+        kw = n - nw
+        tri = np.triu(random_complex(rng, nw))
+        spike = random_complex(rng, nw)[:, 0]
+        spike[-3:] = [1e-20, 0.5, 1e-20]
+        cols = np.column_stack([spike, random_complex(rng, nw)[:, 1:]])
+        u = np.linalg.qr(cols)[0]
+        h0 = np.triu(random_complex(rng, n), -1)
+        h0[kw:, kw:] = u.T @ tri @ u.conj()
+        h0[kw, kw - 1] = 1.0
+
+        def prepared(t, budget):
+            t[...] = tri
+            return u.copy(), 0
+
+        monkeypatch.setattr(eig, "_small_schur", prepared)
+        h, qt = h0.copy(), np.eye(n, dtype=complex)
+        deflated, shifts, spent = eig._early_deflation(h, qt, 0, n - 1, nw,
+                                                       n * 40)
+        assert (deflated, spent) == (1, 0)
+        assert np.array_equal(shifts, np.diag(tri)[:-1])
+        assert h[-1, -1] == tri[-1, -1] and not h[-1, :-1].any()
+        assert not np.tril(h, -2).any()
         assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
             <= 10 * n * U * np.linalg.norm(h0)
 

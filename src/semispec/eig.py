@@ -1,5 +1,9 @@
 """Dense complex non-Hermitian eigensolver with residual diagnostics.
 
+Both engines solve scale * A, scale = 2**-e with e the binary exponent
+of max |a_ij|: an exact scaling that keeps the norm and the shifts clear
+of under- and overflow, undone on the eigenvalues.
+
 The reference path first splits the matrix into the diagonal blocks it
 decouples into exactly: the connected components of the nonzero pattern
 of A + A^T.  A symbol even in x, such as x^2 + xi^2 + i*eps*x^4, gives a
@@ -18,30 +22,28 @@ deflation of subdiagonals below 1e-14 * (|h_kk| + |h_k+1,k+1|), always on
 the lowest unreduced window [lo, hi], in the two-part design of Braman,
 Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
 
-* A window of at most MULTISHIFT_MIN rows goes to Schur form in one go,
-  on a copy, by explicitly shifted single-shift QR sweeps (Wilkinson
-  shift, and an exceptional shift every EXCEPTIONAL_EVERY-th sweep
-  without a deflation at the bottom).  Each sweep is one Householder QR
-  factorization of the unreduced block minus the shift (np.linalg.qr)
-  and three products with its Q; the rest of H and Q^T take the
-  window's accumulated unitary as matrix products.
+* A window of at most MULTISHIFT_MIN rows, 2 x 2 included, goes to Schur
+  form in one go, on a copy, by explicitly shifted single-shift QR
+  sweeps (Wilkinson shift, and an exceptional shift every
+  EXCEPTIONAL_EVERY-th sweep without a deflation at the bottom).  Each
+  sweep is one Householder QR factorization of the unreduced block minus
+  the shift (np.linalg.qr) and three products with its Q; the rest of H
+  and Q^T take the window's accumulated unitary as matrix products.
 * A larger window first tries aggressive early deflation (Part II) on its
   trailing ns = min(MAX_SHIFTS, size // ROWS_PER_SHIFT) rows: the
   trailing block's Schur form (by the single-shift QR above) turns the
-  one subdiagonal entry that couples it into a spike, and each
-  eigenvalue whose spike entry is negligible deflates at once.  When at
-  least NIBBLE of the block deflated, the next window is taken at once.
-  Otherwise the undeflated eigenvalues are the shifts of a small-bulge
-  multishift sweep (Part I): one single-shift bulge per shift, the
-  bulges BULGE_SPACING rows apart, the whole chain moving one row per
-  step as one batched 2x2 product on strided views of the row and column
-  pairs.  The steps go in chunks of CHUNK_STEPS that rotate only the
-  diagonal block their bulges touch, and the rest of H and Q^T take each
-  chunk's rotations as three matrix products.
+  one subdiagonal entry that couples it into a spike, and the trailing
+  run of eigenvalues whose spike entries are negligible deflates at once.
+  When at least NIBBLE of the block deflated, the next window is taken
+  at once.  Otherwise the undeflated eigenvalues are the shifts of a
+  small-bulge multishift sweep (Part I): one single-shift bulge per
+  shift, the bulges BULGE_SPACING rows apart, the whole chain moving one
+  row per step as one batched 2x2 rotation product on strided views of
+  the row and column pairs of H and the rows of Q^T.
 * Every EXCEPTIONAL_EVERY-th multishift sweep without a deflation at the
   bottom chases one bulge with an exceptional shift instead.
 
-Only unitary transformations (reflections, QR factors and Givens
+Only unitary transformations (reflections, QR factors and the chain's
 rotations) touch H and Q, and they are accumulated so a Schur
 factorization A = Q T Q^H is available for the backward-error estimate.
 The sweeps call the platform QR factorization (np.linalg.qr), but no
@@ -272,7 +274,9 @@ def _small_schur(h, budget):
 
     Each sweep (_qr_sweep, one QR factorization of the unreduced block)
     takes a Wilkinson shift, and every EXCEPTIONAL_EVERY-th sweep without
-    a deflation at the bottom an exceptional one.  Returns u, the
+    a deflation at the bottom an exceptional one.  A 2 x 2 block takes
+    one sweep: its Wilkinson shift is an eigenvalue of the block, so the
+    next split test zeroes its subdiagonal.  Returns u, the
     transformations collected as Q^T's rows take them (H on entry is
     u^T T conj(u)), and the number of shifts spent; raises _OutOfShifts
     rather than spend more than budget.

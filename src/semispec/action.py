@@ -98,17 +98,6 @@ def floquet_offset_value(offset):
     return j
 
 
-def parse_floats(text, what, names):
-    """Comma-separated floats, one per name (the --rect and --window form)."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != len(names):
-        raise ConfigError(f"{what} needs {','.join(names)}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned window in the complex plane (closed)."""
@@ -133,11 +122,6 @@ class Rectangle:
     def expanded(self, margin_re, margin_im):
         return Rectangle(self.re_min - margin_re, self.re_max + margin_re,
                          self.im_min - margin_im, self.im_max + margin_im)
-
-    @classmethod
-    def parse(cls, text):
-        return cls(*parse_floats(text, "rect",
-                                 ("re_min", "re_max", "im_min", "im_max")))
 
     def as_tuple(self):
         return (self.re_min, self.re_max, self.im_min, self.im_max)

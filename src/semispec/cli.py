@@ -6,9 +6,10 @@ pt-verify.  The run parameters are the rows of _PARAMS: each is a flag
 value", '#' comments, keys in any case with '_' or '-'); flags win.
 Exit codes: 0 success, 2 config error (also for a malformed value from
 a flag or the file, and for a --config or --matrix file that is
-missing, unreadable or malformed), 3 numeric failure (the failing stage
-is named on stderr).  Every subcommand runs the stage functions of
-semispec.experiments.
+missing, unreadable or malformed, and for an --out that cannot be
+written), 3 numeric failure (the failing stage is named on stderr).  Every
+subcommand runs the stage functions of semispec.experiments and writes
+through its write_files.
 """
 
 from __future__ import annotations
@@ -18,21 +19,29 @@ import json
 import sys
 from pathlib import Path
 
-from .action import Rectangle, parse_floats
+from .action import Rectangle
 from .errors import ConfigError, NumericError
-from .experiments import (ExperimentConfig, build_action_map, build_operator,
-                          default_rect, eigenvalues_of, predict_modes,
-                          pt_verify, reproduce_figures, run_experiment,
-                          _stage, _write_text)
+from .experiments import (ExperimentConfig, build_operator, build_predictions,
+                          build_spectrum, pt_verify, reproduce_figures,
+                          run_experiment, write_files)
 from .operators import TruncatedOperator
 
 
+def _floats(text, names):
+    """Comma-separated floats, one per name (the --rect and --window form)."""
+    parts = text.split(",")
+    if len(parts) != len(names):
+        raise ValueError(f"expected {','.join(names)}")
+    return tuple(float(p) for p in parts)
+
+
 def _rect(text):
-    return Rectangle.parse(text) if text else None
+    return (Rectangle(*_floats(text, ("re_min", "re_max", "im_min", "im_max")))
+            if text else None)
 
 
 def _window(text):
-    return parse_floats(text, "window", ("lo", "hi")) if text else None
+    return _floats(text, ("lo", "hi")) if text else None
 
 
 def _on_off(text):
@@ -148,36 +157,26 @@ def _experiment_config(args):
     return ExperimentConfig(**values)
 
 
-def _out_dir(out):
-    out = Path(out) if out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_quantize(args):
     cfg = _experiment_config(args)
-    with _stage("quantize"):
-        _, op = build_operator(cfg)
-    out = _out_dir(cfg.out)
-    _write_text(out / "operator.json",
-                json.dumps(op.to_json_dict(), sort_keys=True) + "\n")
-    _write_text(out / "operator.csv", op.to_csv())
+    _, op = build_operator(cfg)
+    out = write_files(cfg.out, {
+        "operator.json": json.dumps(op.to_json_dict(), sort_keys=True) + "\n",
+        "operator.csv": op.to_csv()})
     print(f"wrote {out / 'operator.json'} ({op.dimension}x{op.dimension})")
     return 0
 
 
 def _cmd_spectrum(args):
     if args.matrix:
+        out = _param_values(args).get("out")
         op = TruncatedOperator.from_json(_read_input(args.matrix))
-        out = _out_dir(args.out)
     else:
         cfg = _experiment_config(args)
-        with _stage("quantize"):
-            _, op = build_operator(cfg)
-        out = _out_dir(cfg.out)
-    with _stage("spectrum"):
-        spec = eigenvalues_of(op)
-    _write_text(out / "spectrum.csv", spec.to_csv())
+        out = cfg.out
+        _, op = build_operator(cfg)
+    spec = build_spectrum(op)
+    out = write_files(out, {"spectrum.csv": spec.to_csv()})
     print(f"wrote {out / 'spectrum.csv'} ({len(spec.eigenvalues)} eigenvalues, "
           f"max residual {spec.tolerance:.3e})")
     return 0
@@ -185,15 +184,14 @@ def _cmd_spectrum(args):
 
 def _cmd_predict(args):
     cfg = _experiment_config(args)
-    with _stage("predict"):
-        am = build_action_map(cfg)
-        rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
-        predictions = predict_modes(cfg, am, rect)
-    out = _out_dir(cfg.out)
+    _, predictions = build_predictions(cfg)
+    files = {}
     for mode, pred in predictions.items():
-        _write_text(out / f"predictions_{mode}.csv", pred.to_csv())
-        _write_text(out / f"predictions_{mode}.json",
-                    json.dumps(pred.to_json_dict(), sort_keys=True) + "\n")
+        files[f"predictions_{mode}.csv"] = pred.to_csv()
+        files[f"predictions_{mode}.json"] = \
+            json.dumps(pred.to_json_dict(), sort_keys=True) + "\n"
+    out = write_files(cfg.out, files)
+    for mode, pred in predictions.items():
         print(f"wrote {out}/predictions_{mode}.csv ({len(pred.points)} points)")
     return 0
 

@@ -151,9 +151,22 @@ def _provenance(cfg):
 
 
 # Stage functions.  Every entry point (run_experiment, pt_verify,
-# reproduce_figures and the CLI subcommands) is assembled from these.  They
-# look up the names they call as module globals at call time, so swapping
-# such a name on this module (say, for a tracing wrapper) reaches them all.
+# reproduce_figures and the CLI subcommands) is assembled from these, and
+# build_operator, build_spectrum and build_predictions each run inside
+# their own stage.  They look up the names they call as module globals at
+# call time, so swapping such a name on this module (say, for a tracing
+# wrapper) reaches them all.
+
+@contextmanager
+def _stage(name):
+    """Re-raise a numeric failure inside the block as PipelineError(name)."""
+    try:
+        yield
+    except (PipelineError, ConfigError):
+        raise
+    except SemispecError as exc:
+        raise PipelineError(name, exc) from exc
+
 
 def build_symbol(cfg: ExperimentConfig):
     if cfg.model == "circle":
@@ -163,11 +176,31 @@ def build_symbol(cfg: ExperimentConfig):
 
 def build_operator(cfg: ExperimentConfig):
     """Parse the symbol once and quantize it: returns (sym, op)."""
-    sym = build_symbol(cfg)
-    h = cfg.hbar_value()
-    if cfg.model == "circle":
-        return sym, quantize_circle(sym, cfg.epsilon_value(), h, cfg.N)
-    return sym, quantize_plane(sym, h, cfg.N)
+    with _stage("quantize"):
+        sym = build_symbol(cfg)
+        h = cfg.hbar_value()
+        if cfg.model == "circle":
+            return sym, quantize_circle(sym, cfg.epsilon_value(), h, cfg.N)
+        return sym, quantize_plane(sym, h, cfg.N)
+
+
+def build_spectrum(op, spectra=None):
+    """The SpectrumResult of ``op``.
+
+    ``spectra``, when given, maps a matrix fingerprint to its
+    SpectrumResult: the matrix is looked up there and solved (and stored)
+    only on a miss, so runs that quantize the same matrix share one solve.
+    The spectrum is a deterministic function of the matrix, so sharing
+    changes no result.
+    """
+    with _stage("spectrum"):
+        if spectra is None:
+            return eigenvalues_of(op)
+        key = op.matrix_fingerprint()
+        spec = spectra.get(key)
+        if spec is None:
+            spec = spectra[key] = eigenvalues_of(op)
+        return spec
 
 
 def build_action_map(cfg: ExperimentConfig, sym=None):
@@ -200,22 +233,29 @@ def prediction_rule(cfg: ExperimentConfig):
     return "circle_k"
 
 
-def predict_modes(cfg: ExperimentConfig, am: ActionMap, rect: Rectangle):
-    """Both prediction families inside ``rect``: {mode: QuantizationPrediction}."""
-    rule = prediction_rule(cfg)
-    return {mode: predict_spectrum(am, cfg.hbar_value(), rule, mode, rect,
-                                   floquet_offset=cfg.floquet_offset)
-            for mode in MODES}
+def build_predictions(cfg: ExperimentConfig, sym=None):
+    """The rect (cfg.rect, else default_rect) and both prediction families
+    inside it: (rect, {mode: QuantizationPrediction})."""
+    with _stage("predict"):
+        am = build_action_map(cfg, sym)
+        rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
+        rule = prediction_rule(cfg)
+        return rect, {mode: predict_spectrum(am, cfg.hbar_value(), rule, mode,
+                                             rect,
+                                             floquet_offset=cfg.floquet_offset)
+                      for mode in MODES}
 
 
-def conjugation_defect(op):
-    """PT conjugation defect ||D conj(M) D - M||_F / ||M||_F of a Fock
-    matrix M, with D = diag((-1)^alpha)."""
+def pt_checks(sym, op):
+    """The PT checks of a line run: the symbol predicate, and the
+    conjugation defect ||D conj(M) D - M||_F / ||M||_F of its Fock matrix
+    M, with D = diag((-1)^alpha)."""
     dpar = parity_matrix(op.dimension)
     m = op.matrix
     defect = np.linalg.norm(dpar @ m.conj() @ dpar - m, ord="fro") \
         / max(np.linalg.norm(m, ord="fro"), np.finfo(float).tiny)
-    return float(defect)
+    return {"symbol_symmetric": pt_symmetry_check(sym),
+            "conjugation_defect": float(defect)}
 
 
 @dataclass(frozen=True)
@@ -256,46 +296,19 @@ class ExperimentResult:
         return self.reports["principal_exact"]
 
 
-@contextmanager
-def _stage(name):
-    """Re-raise a numeric failure inside the block as PipelineError(name)."""
-    try:
-        yield
-    except (PipelineError, ConfigError):
-        raise
-    except SemispecError as exc:
-        raise PipelineError(name, exc) from exc
-
-
 def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
     """Full pipeline for one config; writes artifact files when asked.
 
     Produces the spectrum CSV, prediction CSVs for both modes, the
-    comparison report JSON and a plot script under cfg.out.
-
-    ``spectra``, when given, maps a matrix fingerprint to its
-    SpectrumResult: the spectrum stage looks the quantized matrix up there
-    and solves (and stores) it only on a miss, so runs that quantize the
-    same matrix share one solve.  The spectrum is a deterministic function
-    of the matrix, so sharing changes no result.
+    comparison report JSON and a plot script under cfg.out.  ``spectra``
+    is the fingerprint -> spectrum dict of build_spectrum.
     """
     if cfg.N < 8:
         raise ConfigError("comparisons need N >= 8")
     window = cfg.window_value()
-    with _stage("quantize"):
-        sym, op = build_operator(cfg)
-    with _stage("spectrum"):
-        if spectra is None:
-            spec = eigenvalues_of(op)
-        else:
-            key = op.matrix_fingerprint()
-            spec = spectra.get(key)
-            if spec is None:
-                spec = spectra[key] = eigenvalues_of(op)
-    with _stage("predict"):
-        am = build_action_map(cfg, sym)
-        rect = cfg.rect if cfg.rect is not None else default_rect(cfg, am)
-        predictions = predict_modes(cfg, am, rect)
+    sym, op = build_operator(cfg)
+    spec = build_spectrum(op, spectra)
+    rect, predictions = build_predictions(cfg, sym)
     with _stage("compare"):
         in_window = tuple(z for z in spec.eigenvalues
                           if window[0] <= z.real <= window[1]
@@ -309,10 +322,7 @@ def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
                                              pairs=tuple(pairs),
                                              summary=summary,
                                              provenance=prov)
-        pt = None
-        if cfg.model == "line":
-            pt = {"symbol_symmetric": pt_symmetry_check(sym),
-                  "conjugation_defect": conjugation_defect(op)}
+        pt = pt_checks(sym, op) if cfg.model == "line" else None
     result = ExperimentResult(config=cfg, rect=rect, spectrum=spec,
                               in_window=in_window, predictions=predictions,
                               reports=reports, pt=pt)
@@ -384,23 +394,31 @@ print("wrote", here / "spectra.png")
 """
 
 
-def write_result(result: ExperimentResult):
-    out = Path(result.config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "config.txt", result.config.canonical_text())
-    _write_text(out / "spectrum.csv", result.spectrum.to_csv())
-    for mode, pred in result.predictions.items():
-        _write_text(out / f"predictions_{mode}.csv", pred.to_csv())
-    _write_text(out / "report.json",
-                json.dumps(result_report_dict(result), sort_keys=True,
-                           indent=2) + "\n")
-    _write_text(out / "plot.py", PLOT_SCRIPT)
+def write_files(out, files):
+    """Write each {name: text} of ``files``, in order, into the directory
+    ``out`` (created when missing; None is the current directory) with
+    '\\n' line ends; return it as a Path."""
+    out = Path(out or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(out / name, "w", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write under {out}: {exc}") from exc
     return out
 
 
-def _write_text(path, text):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def write_result(result: ExperimentResult):
+    return write_files(result.config.out, {
+        "config.txt": result.config.canonical_text(),
+        "spectrum.csv": result.spectrum.to_csv(),
+        **{f"predictions_{mode}.csv": pred.to_csv()
+           for mode, pred in result.predictions.items()},
+        "report.json": json.dumps(result_report_dict(result), sort_keys=True,
+                                  indent=2) + "\n",
+        "plot.py": PLOT_SCRIPT,
+    })
 
 
 @dataclass(frozen=True)
@@ -425,25 +443,20 @@ def pt_verify(cfg: ExperimentConfig, write=True):
     of the interior eigenvalues."""
     if cfg.model != "line":
         raise ConfigError("pt-verify applies to the line model")
-    with _stage("quantize"):
-        sym, op = build_operator(cfg)
-    with _stage("spectrum"):
-        spec = eigenvalues_of(op)
+    sym, op = build_operator(cfg)
+    spec = build_spectrum(op)
     lo, hi = cfg.window_value()
     inside = [z for z in spec.eigenvalues if lo <= z.real <= hi]
     max_imag = max((abs(z.imag) for z in inside), default=0.0)
-    report = PTReport(symbol_symmetric=bool(pt_symmetry_check(sym)),
-                      conjugation_defect=conjugation_defect(op),
+    report = PTReport(**pt_checks(sym, op),
                       max_abs_imag_in_window=float(max_imag),
                       count_in_window=len(inside))
     if write and cfg.out is not None:
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
         payload = {"config": {"text": cfg.canonical_text()},
                    "provenance": _provenance(cfg),
                    "pt": report.to_json_dict()}
-        _write_text(out / "pt_report.json",
-                    json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_files(cfg.out, {"pt_report.json": json.dumps(
+            payload, sort_keys=True, indent=2) + "\n"})
     return report
 
 
@@ -462,10 +475,6 @@ def reproduce_figures(out_root, N=66, delta=0.5):
                                out=str(out_root / name))
         if zoom is not None:
             lo, hi = cfg.trusted_window()
-            if model == "circle":
-                window = (lo * zoom, hi * zoom)
-            else:
-                window = (lo, hi * zoom)
-            cfg = replace(cfg, window=window)
+            cfg = replace(cfg, window=(lo * zoom, hi * zoom))
         results[name] = run_experiment(cfg, spectra=spectra)
     return results

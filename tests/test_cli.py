@@ -78,6 +78,15 @@ class TestQuantizeAndSpectrum:
         assert code == 0
         assert (tmp_path / "spectrum.csv").exists()
 
+    def test_spectrum_matrix_takes_out_from_config(self, tmp_path):
+        run(["quantize", "--model", "circle", "--symbol", "I", "--N", "4",
+             "--out", str(tmp_path)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'out'}\n")
+        assert run(["spectrum", "--matrix", str(tmp_path / "operator.json"),
+                    "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "spectrum.csv").exists()
+
 
 class TestPredictAndCompare:
     def test_predict_writes_both_modes(self, tmp_path):
@@ -220,6 +229,12 @@ class TestExitCodes:
         ["spectrum", "--matrix", "{tmp}/no_basis.json", "--out", "{tmp}"],
         ["spectrum", "--matrix", "{tmp}/bad_rows.json", "--out", "{tmp}"],
         ["spectrum", "--matrix", "{tmp}/missing.json", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/op.json", "--config",
+         "{tmp}/missing.cfg", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/op.json", "--config",
+         "{tmp}/unknown_key.cfg", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/op.json", "--N", "abc",
+         "--out", "{tmp}"],
         ["compare", "--config", "{tmp}/missing.cfg"],
         ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
          "--hbar", "nan", "--out", "{tmp}"],
@@ -230,7 +245,8 @@ class TestExitCodes:
         ["predict", *PREDICT_FIG, "--floquet-offset=inf", "--out", "{tmp}"],
         ["predict", *PREDICT_FIG, "--floquet-offset", "1e20", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
-            "matrix-bad-rows", "matrix-missing", "config-missing",
+            "matrix-bad-rows", "matrix-missing", "matrix-config-missing",
+            "matrix-config-unknown-key", "matrix-N-abc", "config-missing",
             "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
             "floquet-offset-inf", "floquet-offset-too-large"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
@@ -239,6 +255,9 @@ class TestExitCodes:
             '{"N": 0, "hbar": 1.0, "rows": [[1.0, 0.0]]}\n')
         (tmp_path / "bad_rows.json").write_text(
             '{"basis": "fock", "N": 0, "hbar": 1.0, "rows": [["a", 0]]}\n')
+        (tmp_path / "op.json").write_text(
+            '{"basis": "fock", "N": 0, "hbar": 1.0, "rows": [[1.0, 0.0]]}\n')
+        (tmp_path / "unknown_key.cfg").write_text("flavor = strange\n")
         code = run([a.format(tmp=tmp_path) for a in argv])
         assert code == 2
         assert "config error" in capsys.readouterr().err
@@ -265,6 +284,27 @@ class TestExitCodes:
         assert code == 3
         assert "stage=quantize" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["out-is-file", "out-under-file"])
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--model", "circle", "--symbol", "I", "--N", "12"],
+        ["spectrum", "--model", "circle", "--symbol", "I", "--N", "12"],
+        ["predict", *PREDICT_FIG],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12"],
+        ["reproduce-figures", "--N", "10"],
+        ["pt-verify", "--model", "line", "--symbol", FIG5, "--N", "12",
+         "--delta", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, argv, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "cannot write under" in err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_pt_verify_cli(self, tmp_path, capsys):
         code = run(["pt-verify", "--model", "line",
                     "--symbol", "x^2 + xi^2 + i*epsilon*x^3",
@@ -283,3 +323,26 @@ class TestReproduceFiguresCLI:
         assert f"wrote 9 bundles under {tmp_path} (5 distinct spectra)" in out
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == [f"figure{k:02d}" for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("params", [
+    ["--model", "circle", "--symbol", FIG1, "--N", "12", "--delta", "0.5"],
+    ["--model", "line", "--symbol", FIG5, "--N", "12", "--delta", "0.5"],
+], ids=["circle", "line"])
+class TestEntryPointsAgree:
+    """The subcommands share one pipeline, so the files they have in common
+    with a compare bundle hold the same bytes."""
+
+    def test_spectrum_matches_compare(self, tmp_path, params):
+        assert run(["compare", *params, "--out", str(tmp_path / "c")]) == 0
+        assert run(["spectrum", *params, "--out", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "s" / "spectrum.csv").read_bytes() \
+            == (tmp_path / "c" / "spectrum.csv").read_bytes()
+
+    def test_predict_matches_compare(self, tmp_path, params):
+        assert run(["compare", *params, "--out", str(tmp_path / "c")]) == 0
+        assert run(["predict", *params, "--out", str(tmp_path / "p")]) == 0
+        for mode in ("averaged_first_order", "principal_exact"):
+            name = f"predictions_{mode}.csv"
+            assert (tmp_path / "p" / name).read_bytes() \
+                == (tmp_path / "c" / name).read_bytes()

@@ -146,11 +146,10 @@ class TestRunExperiment:
         script = (
             "import sys\n"
             "from semispec.experiments import (ExperimentConfig,\n"
-            "    build_action_map, default_rect, predict_modes)\n"
+            "    build_predictions)\n"
             f"cfg = ExperimentConfig(model='circle', symbol={FIG1!r}, N=12,\n"
             "                       delta=0.5)\n"
-            "am = build_action_map(cfg)\n"
-            "preds = predict_modes(cfg, am, default_rect(cfg, am))\n"
+            "rect, preds = build_predictions(cfg)\n"
             "assert preds['principal_exact'].points\n"
             "print('scipy.linalg' in sys.modules)\n")
         assert run_python(script).strip() == "False"

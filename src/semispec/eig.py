@@ -22,26 +22,24 @@ deflation of subdiagonals below 1e-14 * (|h_kk| + |h_k+1,k+1|), always on
 the lowest unreduced window [lo, hi], in the two-part design of Braman,
 Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
 
-* A window of at most MULTISHIFT_MIN rows, 2 x 2 included, goes to Schur
-  form in one go, on a copy, by explicitly shifted single-shift QR
-  sweeps (Wilkinson shift, and an exceptional shift every
-  EXCEPTIONAL_EVERY-th sweep without a deflation at the bottom).  Each
-  sweep is one Householder QR factorization of the unreduced block minus
-  the shift (np.linalg.qr) and three products with its Q; the rest of H
-  and Q^T take the window's accumulated unitary as matrix products.
-* A larger window first tries aggressive early deflation (Part II) on its
-  trailing ns = min(MAX_SHIFTS, size // ROWS_PER_SHIFT) rows: the
-  trailing block's Schur form (by the single-shift QR above) turns the
-  one subdiagonal entry that couples it into a spike, and the trailing
-  run of eigenvalues whose spike entries are negligible deflates at once.
-  When at least NIBBLE of the block deflated, the next window is taken
-  at once.  Otherwise the undeflated eigenvalues are the shifts of a
-  small-bulge multishift sweep (Part I): one single-shift bulge per
-  shift, the bulges BULGE_SPACING rows apart, the whole chain moving one
-  row per step as one batched 2x2 rotation product on strided views of
-  the row and column pairs of H and the rows of Q^T.
-* Every EXCEPTIONAL_EVERY-th multishift sweep without a deflation at the
-  bottom chases one bulge with an exceptional shift instead.
+* Every window goes through aggressive early deflation (Part II) on its
+  trailing nw rows: the whole window when it has at most MULTISHIFT_MIN
+  rows, else nw = min(MAX_SHIFTS, size // ROWS_PER_SHIFT).  That block
+  goes to Schur form on a copy by single-shift QR sweeps (Wilkinson
+  shift, an exceptional one every EXCEPTIONAL_EVERY-th sweep without a
+  deflation at the bottom), each one np.linalg.qr of the unreduced block
+  minus the shift and three products with its Q.  The Schur form turns
+  the entry coupling the block to the rest of the window into a spike,
+  and the eigenvalues below its last non-negligible entry deflate at
+  once.  A whole window has no coupling entry and deflates completely.
+* When less than NIBBLE of a larger window's block deflated, its
+  undeflated eigenvalues are the shifts of a small-bulge multishift
+  sweep (Part I): one single-shift bulge per shift, the bulges
+  BULGE_SPACING rows apart, the whole chain moving one row per step as
+  one batched 2x2 rotation product on strided views of the row and
+  column pairs of H and the rows of Q^T.  Every EXCEPTIONAL_EVERY-th
+  such sweep without a deflation at the bottom chases one bulge with an
+  exceptional shift instead.
 
 Only unitary transformations (reflections, QR factors and the chain's
 rotations) touch H and Q, and they are accumulated so a Schur
@@ -285,14 +283,11 @@ def _small_schur(h, budget):
     spent = 0
     hi = h.shape[0] - 1
     since_move = 0
-    last_hi = hi
     while hi > 0:
-        if hi != last_hi:
-            since_move = 0
-            last_hi = hi
         lo = _split_point(h, hi)
         if lo == hi:
             hi -= 1
+            since_move = 0
             continue
         if spent >= budget:
             raise _OutOfShifts
@@ -309,14 +304,14 @@ def _small_schur(h, budget):
 def _early_deflation(h, qt, lo, hi, nw, budget):
     """Aggressive early deflation on the trailing nw rows of [lo, hi].
 
-    The window W = H[kw:, kw:], kw = hi - nw + 1, goes to Schur form
-    T = U W U^H, which turns the one entry s = H[kw, kw-1] of column kw-1
-    into the spike s * U[:, 0].  From the bottom up, each eigenvalue whose
-    spike entry is at most DEFLATION_TOL * |T[i, i]| deflates where it
-    is, up to the first that fails; it and every eigenvalue above it stay.
+    The block W = H[kw:, kw:], kw = hi - nw + 1, goes to Schur form
+    T = U W U^H, which turns the entry s = H[kw, kw-1] coupling it to the
+    rest of the window into the spike s * U[:, 0]; a whole window
+    (kw == lo) has s = 0.  Every eigenvalue below the last one whose
+    spike entry exceeds DEFLATION_TOL * |T[i, i]| deflates where it is.
     When some deflated, the spike is cut to the undeflated rows, one
     Householder reflection takes it to a multiple of e_1, _hessenberg
-    restores the undeflated block, and the window's transformation
+    restores the undeflated block, and the block's transformation
     reaches the rest of H and Q^T by products.  When none deflated, H is
     left as it was.
 
@@ -325,13 +320,12 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
     form spent.
     """
     kw = hi - nw + 1
-    s = complex(h[kw, kw - 1])
+    s = complex(h[kw, kw - 1]) if kw > lo else 0j
     t = h[kw:hi + 1, kw:hi + 1].copy()
     u, spent = _small_schur(t, budget)
-    keep = nw
-    while keep and abs(s * u[keep - 1, 0]) \
-            <= DEFLATION_TOL * abs(t[keep - 1, keep - 1]):
-        keep -= 1
+    kept = np.flatnonzero(np.abs(s * u[:, 0])
+                          > DEFLATION_TOL * np.abs(np.diagonal(t)))
+    keep = int(kept[-1]) + 1 if kept.size else 0
     shifts = np.diagonal(t)[:keep].copy()
     if keep == nw:
         return 0, shifts, spent
@@ -345,7 +339,8 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
         t[:keep, keep:] = qb.conj() @ t[:keep, keep:]
         u[:keep] = qb @ u[:keep]
     h[kw:hi + 1, kw:hi + 1] = t
-    h[kw, kw - 1] = s * u[0, 0].conjugate() if keep else 0.0
+    if kw > lo:
+        h[kw, kw - 1] = s * u[0, 0].conjugate() if keep else 0.0
     _apply_window(h, qt, kw, hi, u)
     return nw - keep, shifts, spent
 
@@ -353,8 +348,8 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
 def _schur(a, scale=1.0):
     """Complex Schur form scale * A = Q T Q^H by shifted QR on Hessenberg H.
 
-    The budget MAX_ITER_FACTOR * n counts shifts: a single-shift sweep
-    spends one, also inside an early-deflation block, and a multishift
+    Every window goes to _early_deflation.  The budget MAX_ITER_FACTOR * n
+    counts shifts: a single-shift sweep spends one, and a multishift
     sweep one per bulge.
     """
     h, qt = _hessenberg(a, scale)
@@ -363,36 +358,28 @@ def _schur(a, scale=1.0):
     total = 0
     hi = n - 1
     since_move = 0
-    last_hi = hi
     while hi > 0:
-        if hi != last_hi:
-            since_move = 0
-            last_hi = hi
         lo = _split_point(h, hi)
         if lo == hi:
             hi -= 1
+            since_move = 0
             continue
         size = hi - lo + 1
+        nw = size if size <= MULTISHIFT_MIN \
+            else min(MAX_SHIFTS, size // ROWS_PER_SHIFT)
         try:
-            if size <= MULTISHIFT_MIN:
-                block = h[lo:hi + 1, lo:hi + 1].copy()
-                u, spent = _small_schur(block, budget - total)
-                h[lo:hi + 1, lo:hi + 1] = block
-                _apply_window(h, qt, lo, hi, u)
-                total += spent
-                hi = lo - 1
-                continue
-            if total >= budget:
-                raise _OutOfShifts
-            ns = min(MAX_SHIFTS, size // ROWS_PER_SHIFT)
-            deflated, shifts, spent = _early_deflation(h, qt, lo, hi, ns,
+            deflated, shifts, spent = _early_deflation(h, qt, lo, hi, nw,
                                                        budget - total)
         except _OutOfShifts:
             raise SolverError(
                 f"QR iteration did not converge within {budget} shifts",
                 partial=h / scale) from None
         total += spent
-        if deflated >= NIBBLE * ns:
+        if deflated == size:
+            hi = lo - 1
+            since_move = 0
+            continue
+        if deflated >= NIBBLE * nw:
             continue
         since_move += 1
         if since_move % EXCEPTIONAL_EVERY == 0:

@@ -620,6 +620,23 @@ class TestWindows:
         assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
             <= 10 * n * U * np.linalg.norm(h0)
 
+    @pytest.mark.parametrize("lo", [0, 5])
+    def test_whole_window_deflates(self, rng, lo):
+        # a window of nw rows that is all of [lo, hi] has no coupling entry,
+        # not even the corner H[0, n-1] when lo == 0, so all of it deflates
+        nw = 12
+        n = lo + nw
+        h0 = np.triu(random_complex(rng, n))
+        h0[lo:, lo:] = np.triu(random_complex(rng, nw), -1)
+        assert h0[0, n - 1] != 0
+        h, qt = h0.copy(), np.eye(n, dtype=complex)
+        deflated, shifts, spent = eig._early_deflation(h, qt, lo, n - 1, nw,
+                                                       n * 40)
+        assert deflated == nw and len(shifts) == 0 and spent > 0
+        assert not np.tril(h, -1).any()
+        assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
+            <= 10 * n * U * np.linalg.norm(h0)
+
     @pytest.mark.parametrize("n", [41, 97, 265])
     def test_no_platform_eigenroutine(self, rng, monkeypatch, n):
         def refuse(*args, **kwargs):

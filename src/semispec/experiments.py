@@ -24,7 +24,7 @@ from .circle_quantize import quantize_circle
 from .compare import PairingSummary, pair_spectra, summarize_pairs
 from .eig import eigenvalues_of
 from .errors import ConfigError, PipelineError, SemispecError
-from .fock_quantize import parity_matrix, quantize_plane
+from .fock_quantize import quantize_plane
 from .grammar import parse_circle, parse_plane
 from .symbols import pt_symmetry_check, pullback_action_angle
 
@@ -249,10 +249,10 @@ def build_predictions(cfg: ExperimentConfig, sym=None):
 def pt_checks(sym, op):
     """The PT checks of a line run: the symbol predicate, and the
     conjugation defect ||D conj(M) D - M||_F / ||M||_F of its Fock matrix
-    M, with D = diag((-1)^alpha)."""
-    dpar = parity_matrix(op.dimension)
+    M, with D = diag((-1)^alpha) applied as a sign vector."""
     m = op.matrix
-    defect = np.linalg.norm(dpar @ m.conj() @ dpar - m, ord="fro") \
+    sign = (-1.0) ** np.arange(op.dimension)
+    defect = np.linalg.norm(sign[:, None] * m.conj() * sign - m, ord="fro") \
         / max(np.linalg.norm(m, ord="fro"), np.finfo(float).tiny)
     return {"symbol_symmetric": pt_symmetry_check(sym),
             "conjugation_defect": float(defect)}

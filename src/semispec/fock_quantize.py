@@ -111,8 +111,3 @@ def quantize_plane(sym: PlaneSymbol, hbar: float, N: int, extra_padding: int = 0
         basis=Basis(kind="fock", N=N, padding=deg),
         hbar=float(hbar),
     )
-
-
-def parity_matrix(dim: int):
-    """diag((-1)^alpha), the Fock-index parity operator."""
-    return np.diag((-1.0) ** np.arange(dim)).astype(complex)

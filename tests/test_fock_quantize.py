@@ -6,13 +6,17 @@ import pytest
 
 from semispec import ConfigError, PlaneSymbol, ladder, quantize_plane, weyl_monomial
 from semispec.experiments import (FIGURE_SYMBOLS, ExperimentConfig,
-                                  build_operator)
-from semispec.fock_quantize import parity_matrix
+                                  build_operator, pt_checks)
 
 
 def plane(q_coeffs, eps=0.0):
     return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0},
                        q_coeffs=q_coeffs, epsilon=eps)
+
+
+def parity_matrix(dim):
+    """diag((-1)^alpha), the Fock-index parity operator, as a dense matrix."""
+    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
 
 
 def symmetrized_orderings(x_op, xi_op, m, n):
@@ -144,6 +148,18 @@ class TestQuantizePlane:
         d = parity_matrix(op.dimension)
         m = op.matrix
         assert np.abs(d @ m.conj() @ d - m).max() <= 1e-15 * (1 + np.abs(m).max())
+
+    @pytest.mark.parametrize("symbol", [
+        "x^2 + xi^2 + i*epsilon*x^2", "x^2 + xi^2 + i*epsilon*x^3",
+        "x^2 + xi^2 + i*epsilon*(x^2 + x^3)", "x^2 + xi^2 + i*epsilon*x^4"])
+    def test_pt_defect_matches_dense_parity(self, symbol):
+        # pt_checks flips signs instead of multiplying by D: same bits
+        cfg = ExperimentConfig(model="line", symbol=symbol, N=33, delta=0.5)
+        sym, op = build_operator(cfg)
+        d = parity_matrix(op.dimension)
+        m = op.matrix
+        dense = np.linalg.norm(d @ m.conj() @ d - m) / np.linalg.norm(m)
+        assert pt_checks(sym, op)["conjugation_defect"] == dense
 
     @pytest.mark.parametrize("name", ["figure07", "figure08"])
     def test_figure_matrices_exactly_symmetric(self, name):

@@ -6,8 +6,9 @@ pt-verify.  The run parameters are the rows of _PARAMS: each is a flag
 value", '#' comments, keys in any case with '_' or '-'); flags win.
 Exit codes: 0 success, 2 config error (also for a malformed value from
 a flag or the file, and for a --config or --matrix file that is
-missing, unreadable or malformed, and for an --out that cannot be
-written), 3 numeric failure (the failing stage is named on stderr).  Every
+missing, unreadable or malformed, for an --out that cannot be written,
+and for a run parameter other than out given to spectrum --matrix), 3
+numeric failure (the failing stage is named on stderr).  Every
 subcommand runs the stage functions of semispec.experiments and writes
 through its write_files.
 """
@@ -146,6 +147,12 @@ def _param_values(args):
             values[_field(key)] = _PARAMS[key][0](val)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+    if "out" in values:  # refused before any stage runs; nothing is made
+        path = Path(values["out"])
+        part = next((p for p in (path, *path.parents) if p.exists()), path)
+        if not part.is_dir():
+            raise ConfigError(f"cannot write under {path}: {part} is not a "
+                              "directory")
     return values
 
 
@@ -169,7 +176,11 @@ def _cmd_quantize(args):
 
 def _cmd_spectrum(args):
     if args.matrix:
-        out = _param_values(args).get("out")
+        values = _param_values(args)
+        out = values.pop("out", None)
+        if values:
+            unused = ", ".join(key.replace("_", "-") for key in values)
+            raise ConfigError(f"spectrum --matrix takes only out, not {unused}")
         op = TruncatedOperator.from_json(_read_input(args.matrix))
     else:
         cfg = _experiment_config(args)

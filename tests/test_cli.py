@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from semispec import experiments
 from semispec.cli import _PARAMS, main
 
 FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
@@ -86,6 +87,23 @@ class TestQuantizeAndSpectrum:
         assert run(["spectrum", "--matrix", str(tmp_path / "operator.json"),
                     "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_spectrum_matrix_rejects_unused_params(self, tmp_path, capsys,
+                                                   source):
+        # the matrix fixes the model, N and hbar: any run parameter but out
+        # would be silently ignored
+        run(["quantize", "--model", "circle", "--symbol", "I", "--N", "4",
+             "--out", str(tmp_path)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = circle\nfloquet_offset = 0.5\n")
+        params = (["--model", "circle", "--floquet-offset", "0.5"]
+                  if source == "flag" else ["--config", str(cfg)])
+        capsys.readouterr()
+        assert run(["spectrum", "--matrix", str(tmp_path / "operator.json"),
+                    *params, "--out", str(tmp_path / "s")]) == 2
+        assert "not model, floquet-offset" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestPredictAndCompare:
@@ -235,6 +253,8 @@ class TestExitCodes:
          "{tmp}/unknown_key.cfg", "--out", "{tmp}"],
         ["spectrum", "--matrix", "{tmp}/op.json", "--N", "abc",
          "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/op.json", "--model", "torus",
+         "--window=2,1", "--N", "0"],
         ["compare", "--config", "{tmp}/missing.cfg"],
         ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
          "--hbar", "nan", "--out", "{tmp}"],
@@ -246,7 +266,8 @@ class TestExitCodes:
         ["predict", *PREDICT_FIG, "--floquet-offset", "1e20", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "matrix-config-missing",
-            "matrix-config-unknown-key", "matrix-N-abc", "config-missing",
+            "matrix-config-unknown-key", "matrix-N-abc",
+            "matrix-unused-params", "config-missing",
             "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
             "floquet-offset-inf", "floquet-offset-too-large"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
@@ -304,6 +325,20 @@ class TestExitCodes:
         assert "config error" in err
         assert "cannot write under" in err
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12"],
+        ["reproduce-figures", "--N", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_2_before_quantize(self, tmp_path, monkeypatch,
+                                                 argv):
+        def refuse(cfg):
+            raise AssertionError("quantized before --out was checked")
+
+        monkeypatch.setattr(experiments, "build_operator", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert run([*argv, "--out", str(blocker)]) == 2
 
     def test_pt_verify_cli(self, tmp_path, capsys):
         code = run(["pt-verify", "--model", "line",

@@ -23,8 +23,7 @@ from .grammar import (format_circle, format_plane, format_symbol,
                       parse_circle, parse_plane, parse_symbol)
 from .operators import Basis, TruncatedOperator
 from .symbols import (CircleSymbol, PlaneSymbol, eval_circle, eval_plane,
-                      pt_symmetry_check, pullback_action_angle,
-                      theta_average)
+                      pt_symmetry_check, theta_average)
 
 __all__ = [
     "ActionMap", "Basis", "BranchCutError", "CircleSymbol",
@@ -39,7 +38,6 @@ __all__ = [
     "eval_plane", "format_circle", "format_plane", "format_symbol",
     "ladder", "pair_spectra", "parse_circle",
     "parse_plane", "parse_symbol", "predict_spectrum", "pt_symmetry_check",
-    "pt_verify", "pullback_action_angle", "quantize_circle",
-    "quantize_plane", "reproduce_figures", "run_experiment",
-    "theta_average", "weyl_monomial",
+    "pt_verify", "quantize_circle", "quantize_plane", "reproduce_figures",
+    "run_experiment", "theta_average", "weyl_monomial",
 ]

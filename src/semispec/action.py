@@ -62,6 +62,7 @@ import numpy as np
 
 from .errors import (ConfigError, CriticalLevelError, DegeneracyError,
                      DomainError, InversionError, LevelSetError)
+from .operators import positive_hbar
 
 DEFAULT_NODES = 128  # starting grid; an under-resolved loop doubles it
 MAX_NODES = 2048
@@ -163,8 +164,8 @@ class QuantizationPrediction:
 class ActionMap:
     """Queryable complex action map for one cylinder symbol.
 
-    The underlying evaluator comes from CircleSymbol.cylinder_map(eps) or
-    from pullback_action_angle(plane_symbol).  Instances hold the cylinder
+    The underlying evaluator is sym.cylinder_map(eps) of a CircleSymbol
+    or a PlaneSymbol, the symbol at one eps.  Instances hold the cylinder
     and nothing else: the node counts are module constants, read at call
     time, and every query depends on its arguments alone, whatever was
     asked before, so concurrent queries are safe.  The query surface is
@@ -411,8 +412,7 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
         raise ConfigError(f"unknown rule {rule!r}")
     if mode not in ("averaged_first_order", "principal_exact"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ConfigError(f"hbar must be finite and positive, got {hbar!r}")
+    hbar = positive_hbar(hbar)
     half = 0.5 if rule == "line_maslov" else 0.0
     j_off = floquet_offset_value(floquet_offset)
 

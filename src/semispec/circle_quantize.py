@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .operators import Basis, TruncatedOperator
+from .operators import Basis, TruncatedOperator, positive_hbar
 from .symbols import CircleSymbol
 
 
@@ -27,8 +27,7 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
     e^{i m theta} I^n with coefficient c of the full symbol, for every l
     with both l and l+m in [-N, N].
     """
-    if hbar <= 0:
-        raise ConfigError("hbar must be positive")
+    hbar = positive_hbar(hbar)
     if N < 1:
         if sym.max_fourier_index > 0:
             raise TruncationError(
@@ -47,5 +46,5 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
     return TruncatedOperator(
         matrix=mat,
         basis=Basis(kind="fourier", N=N),
-        hbar=float(hbar),
+        hbar=hbar,
     )

@@ -168,7 +168,7 @@ def _cmd_quantize(args):
     cfg = _experiment_config(args)
     _, op = build_operator(cfg)
     out = write_files(cfg.out, {
-        "operator.json": json.dumps(op.to_json_dict(), sort_keys=True) + "\n",
+        "operator.json": op.to_json() + "\n",
         "operator.csv": op.to_csv()})
     print(f"wrote {out / 'operator.json'} ({op.dimension}x{op.dimension})")
     return 0

@@ -157,20 +157,19 @@ def _qr_sweep(h, u, lo, hi, mu):
 
     H is the whole matrix of a window, and u collects the step the way
     Q^T's rows take it.  The step is one Householder QR factorization of
-    the window's block and three products: Q^H on the rows to its right,
-    Q on the columns above it and Q^T on u's rows.  RQ is Hessenberg in
-    exact arithmetic; whatever the factorization leaves below its
-    subdiagonal is set to exact zero.  A Givens step differs from this one
-    only by a diagonal unitary similarity, which leaves the diagonal and
-    every |h_ij|, and so each deflation test, as they are.
+    the window's block, whose Q^T _apply_window carries to the rest: Q^H
+    on the rows to its right, Q on the columns above it and Q^T on u's
+    rows.  RQ is Hessenberg in exact arithmetic; whatever the
+    factorization leaves below its subdiagonal is set to exact zero.  A
+    Givens step differs from this one only by a diagonal unitary
+    similarity, which leaves the diagonal and every |h_ij|, and so each
+    deflation test, as they are.
     """
     w = slice(lo, hi + 1)
     shift = mu * np.eye(hi - lo + 1)
     q, r = np.linalg.qr(h[w, w] - shift)
     h[w, w] = np.triu(r @ q, -1) + shift
-    h[w, hi + 1:] = q.conj().T @ h[w, hi + 1:]
-    h[:lo, w] = h[:lo, w] @ q
-    u[w] = q.T @ u[w]
+    _apply_window(h, u, lo, hi, q.T)
 
 
 def _pairs(x, nb):
@@ -336,8 +335,7 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
         u[:keep] -= 2.0 * np.outer(v.conj(), v @ u[:keep])
         block, qb = _hessenberg(t[:keep, :keep])
         t[:keep, :keep] = block
-        t[:keep, keep:] = qb.conj() @ t[:keep, keep:]
-        u[:keep] = qb @ u[:keep]
+        _apply_window(t, u, 0, keep - 1, qb)
     h[kw:hi + 1, kw:hi + 1] = t
     if kw > lo:
         h[kw, kw - 1] = s * u[0, 0].conjugate() if keep else 0.0

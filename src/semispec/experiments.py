@@ -26,7 +26,8 @@ from .eig import eigenvalues_of
 from .errors import ConfigError, PipelineError, SemispecError
 from .fock_quantize import quantize_plane
 from .grammar import parse_circle, parse_plane
-from .symbols import pt_symmetry_check, pullback_action_angle
+from .operators import integral, positive_hbar
+from .symbols import pt_symmetry_check
 
 INTERIOR_FRACTION = 0.8  # truncation corrupts edge eigenvalues
 MODES = ("averaged_first_order", "principal_exact")
@@ -63,6 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("circle", "line"):
             raise ConfigError(f"unknown model {self.model!r}")
+        object.__setattr__(self, "N", integral("N", self.N))
         if self.N < 1:
             raise ConfigError("N must be >= 1")
         if self.epsilon is not None and self.delta is not None:
@@ -76,10 +78,7 @@ class ExperimentConfig:
             object.__setattr__(self, "window", (float(lo), float(hi)))
 
     def hbar_value(self):
-        h = 1.0 / self.N if self.hbar is None else float(self.hbar)
-        if not (math.isfinite(h) and h > 0):
-            raise ConfigError(f"hbar must be finite and positive, got {h!r}")
-        return h
+        return positive_hbar(1.0 / self.N if self.hbar is None else self.hbar)
 
     def epsilon_value(self):
         """The fixed epsilon, else hbar**delta, else 0."""
@@ -169,19 +168,15 @@ def _stage(name):
 
 
 def build_symbol(cfg: ExperimentConfig):
-    if cfg.model == "circle":
-        return parse_circle(cfg.symbol)
-    return parse_plane(cfg.symbol, epsilon=cfg.epsilon_value())
+    return (parse_circle if cfg.model == "circle" else parse_plane)(cfg.symbol)
 
 
 def build_operator(cfg: ExperimentConfig):
     """Parse the symbol once and quantize it: returns (sym, op)."""
     with _stage("quantize"):
         sym = build_symbol(cfg)
-        h = cfg.hbar_value()
-        if cfg.model == "circle":
-            return sym, quantize_circle(sym, cfg.epsilon_value(), h, cfg.N)
-        return sym, quantize_plane(sym, h, cfg.N)
+        quantize = quantize_circle if cfg.model == "circle" else quantize_plane
+        return sym, quantize(sym, cfg.epsilon_value(), cfg.hbar_value(), cfg.N)
 
 
 def build_spectrum(op, spectra=None):
@@ -206,9 +201,7 @@ def build_spectrum(op, spectra=None):
 def build_action_map(cfg: ExperimentConfig, sym=None):
     if sym is None:
         sym = build_symbol(cfg)
-    if cfg.model == "circle":
-        return ActionMap(sym.cylinder_map(cfg.epsilon_value()))
-    return ActionMap(pullback_action_angle(sym))
+    return ActionMap(sym.cylinder_map(cfg.epsilon_value()))
 
 
 def default_rect(cfg: ExperimentConfig, am: ActionMap):

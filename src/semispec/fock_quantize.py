@@ -1,4 +1,5 @@
-"""Quantization of plane symbols in the Fock basis via ladder matrices.
+"""Quantization of plane symbols in the Fock basis via ladder matrices,
+called as quantize_circle is: quantize_plane(sym, eps, hbar, N).
 
 The basis zeta_alpha = z^alpha / sqrt(hbar^{alpha+1} alpha!) fixes the
 ladder normalization
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericRangeError
-from .operators import Basis, TruncatedOperator
+from .operators import Basis, TruncatedOperator, positive_hbar
 from .symbols import PlaneSymbol
 
 MAX_MONOMIAL_DEGREE = 8  # per variable; higher powers are out of scope
@@ -55,13 +56,12 @@ def ladder(dim: int, hbar: float) -> LadderPair:
     """Lowering/raising matrices on the first ``dim`` Fock states."""
     if dim < 2:
         raise ConfigError("ladder needs dimension >= 2")
-    if hbar <= 0:
-        raise ConfigError("hbar must be positive")
+    hbar = positive_hbar(hbar)
     alpha = np.arange(1, dim)
     a = np.zeros((dim, dim), dtype=complex)
     a[alpha - 1, alpha] = np.sqrt(hbar * alpha)
     a_dag = a.conj().T.copy()
-    return LadderPair(a=a, a_dag=a_dag, dim=dim, hbar=float(hbar))
+    return LadderPair(a=a, a_dag=a_dag, dim=dim, hbar=hbar)
 
 
 def weyl_monomial(x_op: np.ndarray, xi_op: np.ndarray, m: int, n: int):
@@ -78,7 +78,8 @@ def weyl_monomial(x_op: np.ndarray, xi_op: np.ndarray, m: int, n: int):
     return (acc + (-1) ** n * acc.T) / 2.0 ** (m + 1)
 
 
-def quantize_plane(sym: PlaneSymbol, hbar: float, N: int, extra_padding: int = 0):
+def quantize_plane(sym: PlaneSymbol, eps: float, hbar: float, N: int,
+                   extra_padding: int = 0):
     """Build the (N+1) x (N+1) matrix of f + i*eps*q in the Fock basis.
 
     ``extra_padding`` widens the assembly dimension beyond the default
@@ -86,8 +87,7 @@ def quantize_plane(sym: PlaneSymbol, hbar: float, N: int, extra_padding: int = 0
     """
     if N < 1:
         raise ConfigError("N must be >= 1")
-    if hbar <= 0:
-        raise ConfigError("hbar must be positive")
+    hbar = positive_hbar(hbar)
     monomials = list(sym.f_coeffs) + list(sym.q_coeffs)
     if any(m > MAX_MONOMIAL_DEGREE or n > MAX_MONOMIAL_DEGREE
            for m, n in monomials):
@@ -102,12 +102,12 @@ def quantize_plane(sym: PlaneSymbol, hbar: float, N: int, extra_padding: int = 0
     for (m, n), c in sorted(sym.f_coeffs.items()):
         total += c * weyl_monomial(x_op, xi_op, m, n)
     for (m, n), c in sorted(sym.q_coeffs.items()):
-        total += (1j * sym.epsilon * c) * weyl_monomial(x_op, xi_op, m, n)
+        total += (1j * eps * c) * weyl_monomial(x_op, xi_op, m, n)
     if not np.isfinite(total).all():
         raise NumericRangeError("overflow while assembling the Fock matrix")
     block = total[:N + 1, :N + 1]
     return TruncatedOperator(
         matrix=block,
         basis=Basis(kind="fock", N=N, padding=deg),
-        hbar=float(hbar),
+        hbar=hbar,
     )

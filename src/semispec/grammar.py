@@ -240,8 +240,8 @@ def parse_circle(text):
     return CircleSymbol(f_coeffs=f_coeffs, q_terms=q_terms)
 
 
-def parse_plane(text, epsilon):
-    """Parse text into a PlaneSymbol carrying the given eps value."""
+def parse_plane(text):
+    """Parse text into a PlaneSymbol."""
     graded = _Parser(text, "line").parse()
     f, q = _split_graded(graded, "plane symbol")
     scale = max((abs(c) for c in q.values()), default=1.0)
@@ -251,14 +251,14 @@ def parse_plane(text, epsilon):
             raise ConfigError("plane symbol: q must have real monomial "
                               f"coefficients (term at {(m, n)})")
         q_real[(m, n)] = c.real
-    return PlaneSymbol(f_coeffs=f, q_coeffs=q_real, epsilon=epsilon)
+    return PlaneSymbol(f_coeffs=f, q_coeffs=q_real)
 
 
-def parse_symbol(text, model, epsilon=0.0):
+def parse_symbol(text, model):
     if model == "circle":
         return parse_circle(text)
     if model == "line":
-        return parse_plane(text, epsilon)
+        return parse_plane(text)
     raise ConfigError(f"unknown model {model!r}")
 
 

@@ -18,11 +18,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
+
+
+def positive_hbar(hbar):
+    """hbar as a float; ConfigError unless it is finite and positive."""
+    h = float(hbar)
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"hbar must be finite and positive, got {hbar!r}")
+    return h
+
+
+def integral(name, value):
+    """value as an int; ConfigError unless it is an integral number."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def matrix_fingerprint(m):
@@ -43,6 +60,8 @@ class Basis:
     def __post_init__(self):
         if self.kind not in ("fourier", "fock"):
             raise ConfigError(f"unknown basis kind {self.kind!r}")
+        object.__setattr__(self, "N", integral("N", self.N))
+        object.__setattr__(self, "padding", integral("padding", self.padding))
 
     @property
     def dimension(self):
@@ -65,11 +84,10 @@ class TruncatedOperator:
                 f"dimension {self.basis.dimension}")
         if not np.isfinite(m).all():
             raise DomainError("matrix has non-finite entries")
-        if self.hbar <= 0:
-            raise ConfigError("hbar must be positive")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "hbar", positive_hbar(self.hbar))
 
     @property
     def dimension(self):
@@ -105,9 +123,8 @@ class TruncatedOperator:
                 raise ConfigError(f"row {i} has {flat.size} numbers, "
                                   f"expected {2 * dim}")
             m[i] = flat[0::2] + 1j * flat[1::2]
-        basis = Basis(kind=d["basis"], N=int(d["N"]),
-                      padding=int(d.get("padding", 0)))
-        return cls(matrix=m, basis=basis, hbar=float(d["hbar"]))
+        basis = Basis(kind=d["basis"], N=d["N"], padding=d.get("padding", 0))
+        return cls(matrix=m, basis=basis, hbar=d["hbar"])
 
     @classmethod
     def from_json(cls, text):

@@ -10,7 +10,6 @@ All types are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -104,12 +103,11 @@ class PlaneSymbol:
 
     Coefficient maps (m, n) -> real coefficient of x**m xi**n.  For this
     toolkit f is pinned to the harmonic oscillator x^2 + xi^2 exactly,
-    which is what makes the explicit action-angle pullback available.
+    which is what makes the explicit action-angle chart available.
     """
 
     f_coeffs: Mapping[tuple[int, int], float]
     q_coeffs: Mapping[tuple[int, int], float]
-    epsilon: float
 
     def __post_init__(self):
         f = {(int(m), int(n)): float(c) for (m, n), c in self.f_coeffs.items()
@@ -122,12 +120,8 @@ class PlaneSymbol:
             raise ConfigError("f must be exactly x^2 + xi^2 on the plane")
         if any(m < 0 or n < 0 for m, n in q):
             raise ConfigError("negative powers are not in the symbol class")
-        eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps < 0:
-            raise ConfigError("epsilon must be finite and >= 0")
         object.__setattr__(self, "f_coeffs", MappingProxyType(f))
         object.__setattr__(self, "q_coeffs", MappingProxyType(q))
-        object.__setattr__(self, "epsilon", eps)
 
     @property
     def degree(self):
@@ -161,6 +155,17 @@ class PlaneSymbol:
             out.pop()
         return tuple(out)
 
+    def cylinder_map(self, eps):
+        """Full symbol at a given eps, pulled back to the cylinder through
+        the oscillator's action-angle chart x = sqrt(2I) cos(theta),
+        xi = -sqrt(2I) sin(theta).
+
+        The orientation makes (1/2pi) * loop integral of xi dx equal +I, so
+        the unperturbed part becomes exactly 2I.  Principal branch of the
+        square root; real I <= 0 sits on the cut and is rejected.
+        """
+        return _OscillatorCylinderMap(self, float(eps))
+
 
 def _double_factorial(k):
     out = 1
@@ -189,11 +194,11 @@ def eval_circle(sym: CircleSymbol, theta, I, eps):
     return complex(val)
 
 
-def eval_plane(sym: PlaneSymbol, x, xi):
-    """Evaluate f(x, xi) + i*eps*q(x, xi) with eps stored in the symbol."""
-    _require_finite(x, xi)
+def eval_plane(sym: PlaneSymbol, x, xi, eps):
+    """Evaluate f(x, xi) + i*eps*q(x, xi); x, xi may be complex."""
+    _require_finite(x, xi, eps)
     val = sym.f_value(complex(x), complex(xi)) \
-        + 1j * sym.epsilon * sym.q_value(complex(x), complex(xi))
+        + 1j * eps * sym.q_value(complex(x), complex(xi))
     return complex(val)
 
 
@@ -213,17 +218,6 @@ def pt_symmetry_check(sym: PlaneSymbol):
     f_even = all(m % 2 == 0 for (m, n) in sym.f_coeffs)
     q_odd = all(m % 2 == 1 for (m, n) in sym.q_coeffs)
     return f_even and q_odd
-
-
-def pullback_action_angle(sym: PlaneSymbol):
-    """Pull the plane symbol back to the cylinder through the oscillator's
-    action-angle chart x = sqrt(2I) cos(theta), xi = -sqrt(2I) sin(theta).
-
-    The orientation makes (1/2pi) * loop integral of xi dx equal +I, so the
-    unperturbed part becomes exactly 2I.  Principal branch of the square
-    root; real I <= 0 sits on the cut and is rejected.
-    """
-    return _OscillatorCylinderMap(sym)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +300,9 @@ class _OscillatorCylinderMap(_CylinderMapBase):
     f_action_coeffs = (0.0, 2.0)
     min_action = 0.0  # sqrt(2I) chart: the cut sits on I <= 0
 
-    def __init__(self, sym):
+    def __init__(self, sym, eps):
         self.sym = sym
-        self.eps = sym.epsilon
+        self.eps = eps
         self.q_average = sym.q_average_coeffs()
 
     def value_and_dI(self, theta, I):

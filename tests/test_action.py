@@ -4,7 +4,7 @@ import pytest
 from semispec import (ActionMap, CircleSymbol, ConfigError, CriticalLevelError,
                       DomainError, ExperimentConfig, InversionError,
                       PlaneSymbol, Rectangle, action, parse_circle,
-                      predict_spectrum, pullback_action_angle)
+                      predict_spectrum)
 from semispec.action import DEFAULT_NODES, _nodes
 from semispec.experiments import (FIGURE_SYMBOLS, build_action_map,
                                   default_rect, prediction_rule)
@@ -18,9 +18,8 @@ def circle_map(f_coeffs, q_terms, eps):
 
 
 def oscillator_map(q_coeffs, eps):
-    sym = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0},
-                      q_coeffs=q_coeffs, epsilon=eps)
-    return ActionMap(pullback_action_angle(sym))
+    return ActionMap(PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0},
+                                 q_coeffs=q_coeffs).cylinder_map(eps))
 
 
 def fig1_map(eps):

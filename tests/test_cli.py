@@ -255,6 +255,8 @@ class TestExitCodes:
          "--out", "{tmp}"],
         ["spectrum", "--matrix", "{tmp}/op.json", "--model", "torus",
          "--window=2,1", "--N", "0"],
+        ["spectrum", "--matrix", "{tmp}/hbar_nan.json", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/N_fraction.json", "--out", "{tmp}"],
         ["compare", "--config", "{tmp}/missing.cfg"],
         ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
          "--hbar", "nan", "--out", "{tmp}"],
@@ -267,7 +269,8 @@ class TestExitCodes:
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "matrix-config-missing",
             "matrix-config-unknown-key", "matrix-N-abc",
-            "matrix-unused-params", "config-missing",
+            "matrix-unused-params", "matrix-hbar-nan", "matrix-N-fraction",
+            "config-missing",
             "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
             "floquet-offset-inf", "floquet-offset-too-large"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
@@ -279,6 +282,11 @@ class TestExitCodes:
         (tmp_path / "op.json").write_text(
             '{"basis": "fock", "N": 0, "hbar": 1.0, "rows": [[1.0, 0.0]]}\n')
         (tmp_path / "unknown_key.cfg").write_text("flavor = strange\n")
+        (tmp_path / "hbar_nan.json").write_text(
+            '{"basis": "fock", "N": 0, "hbar": NaN, "rows": [[1.0, 0.0]]}\n')
+        (tmp_path / "N_fraction.json").write_text(
+            '{"basis": "fock", "N": 1.7, "hbar": 1.0, '
+            '"rows": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]}\n')
         code = run([a.format(tmp=tmp_path) for a in argv])
         assert code == 2
         assert "config error" in capsys.readouterr().err

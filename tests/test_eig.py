@@ -308,9 +308,8 @@ class TestScale:
 
 class TestOperatorEntry:
     def test_truncated_operator_spectrum(self):
-        sym = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs={},
-                          epsilon=0.0)
-        op = quantize_plane(sym, 0.25, 8)
+        sym = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs={})
+        op = quantize_plane(sym, 0.0, 0.25, 8)
         res = eigenvalues_of(op)
         expected = 0.25 * (2 * np.arange(9) + 1)
         assert np.abs(np.array(res.eigenvalues) - expected).max() <= 1e-13

@@ -6,7 +6,9 @@ import pytest
 import semispec.experiments
 from semispec import (ConfigError, ExperimentConfig, PipelineError,
                       pt_verify, reproduce_figures, run_experiment)
-from semispec.experiments import FIGURE_SYMBOLS, build_action_map, default_rect
+from semispec.experiments import (FIGURE_SYMBOLS, build_action_map,
+                                  build_predictions, build_symbol,
+                                  default_rect)
 
 FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
 FIG5 = "x^2 + xi^2 + i*epsilon*x^2"
@@ -24,6 +26,19 @@ class TestConfig:
         assert cfg2.epsilon_value() == 0.07
         cfg3 = ExperimentConfig(model="circle", symbol=FIG1, N=66)
         assert cfg3.epsilon_value() == 0.0
+
+    @pytest.mark.parametrize("N", [8.5, "8", float("inf")])
+    def test_non_integral_N_rejected(self, N):
+        # 8.5 used to fail with a TypeError inside the quantize stage, and
+        # "8" with one in __post_init__
+        with pytest.raises(ConfigError, match="N must be an integer"):
+            ExperimentConfig(model="circle", symbol=FIG1, N=N)
+
+    def test_integral_float_N_is_the_int(self):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=16.0)
+        assert type(cfg.N) is int
+        assert cfg.config_hash() == ExperimentConfig(
+            model="circle", symbol=FIG1, N=16).config_hash()
 
     def test_epsilon_and_delta_conflict(self):
         with pytest.raises(ConfigError):
@@ -97,6 +112,23 @@ class TestEpsilonValue:
         cfg = ExperimentConfig(model="circle", symbol=FIG1, **kwargs)
         with pytest.raises(ConfigError, match="resolved epsilon"):
             cfg.epsilon_value()
+
+
+class TestSymbolAcrossConfigs:
+    @pytest.mark.parametrize("name", ["figure01", "figure07"])
+    def test_symbol_takes_the_config_epsilon(self, name):
+        # the symbol holds f and q only: one parsed for delta = 0.5 and
+        # used for delta = 0.3 predicts at the second config's eps
+        model, symbol, _ = FIGURE_SYMBOLS[name]
+        cfg_a = ExperimentConfig(model=model, symbol=symbol, N=16, delta=0.5)
+        cfg_b = ExperimentConfig(model=model, symbol=symbol, N=16, delta=0.3)
+        sym_a = build_symbol(cfg_a)
+        assert build_predictions(cfg_b, sym_a) == build_predictions(cfg_b)
+        am = build_action_map(cfg_b, sym_a)
+        assert am.eps == cfg_b.epsilon_value()
+        s = np.linspace(0.2, 0.6, 5).astype(complex)
+        assert np.array_equal(am.averaged_value(s),
+                              build_action_map(cfg_b).averaged_value(s))
 
 
 class TestRunExperiment:

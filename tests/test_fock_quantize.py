@@ -9,9 +9,8 @@ from semispec.experiments import (FIGURE_SYMBOLS, ExperimentConfig,
                                   build_operator, pt_checks)
 
 
-def plane(q_coeffs, eps=0.0):
-    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0},
-                       q_coeffs=q_coeffs, epsilon=eps)
+def plane(q_coeffs):
+    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs=q_coeffs)
 
 
 def parity_matrix(dim):
@@ -116,7 +115,7 @@ class TestWeylOrdering:
 class TestQuantizePlane:
     def test_harmonic_oscillator_exact(self):
         N, hbar = 66, 1.0 / 66
-        op = quantize_plane(plane({}, 0.0), hbar, N)
+        op = quantize_plane(plane({}), 0.0, hbar, N)
         expected = hbar * (2 * np.arange(N + 1) + 1)
         off = op.matrix - np.diag(np.diag(op.matrix))
         assert np.abs(off).max() <= 1e-14
@@ -124,19 +123,19 @@ class TestQuantizePlane:
         assert np.abs(np.diag(op.matrix).imag).max() <= 1e-14
 
     def test_eps_zero_hermitian(self):
-        op = quantize_plane(plane({(3, 0): 1.0, (1, 1): 0.5}, 0.0), 0.1, 12)
+        op = quantize_plane(plane({(3, 0): 1.0, (1, 1): 0.5}), 0.0, 0.1, 12)
         m = op.matrix
         assert np.abs(m - m.conj().T).max() <= 1e-13
 
     def test_padding_sufficiency(self):
-        sym = plane({(4, 0): 1.0, (2, 0): 0.5}, 0.2)
-        a = quantize_plane(sym, 0.05, 14, extra_padding=0).matrix
-        b = quantize_plane(sym, 0.05, 14, extra_padding=2).matrix
+        sym = plane({(4, 0): 1.0, (2, 0): 0.5})
+        a = quantize_plane(sym, 0.2, 0.05, 14, extra_padding=0).matrix
+        b = quantize_plane(sym, 0.2, 0.05, 14, extra_padding=2).matrix
         assert np.abs(a - b).max() <= 1e-13 * (1 + np.abs(a).max())
 
     def test_parity_commutation_even_symbols(self):
         for q in ({(2, 0): 1.0}, {(4, 0): 1.0}, {(2, 2): 0.5, (0, 4): 1.0}):
-            op = quantize_plane(plane(q, 0.15), 0.1, 10)
+            op = quantize_plane(plane(q), 0.15, 0.1, 10)
             d = parity_matrix(op.dimension)
             m = op.matrix
             comm = m @ d - d @ m
@@ -144,7 +143,7 @@ class TestQuantizePlane:
 
     def test_pt_conjugation_identity(self):
         # f even, q odd in x: D conj(M) D == M holds entrywise
-        op = quantize_plane(plane({(3, 0): 1.0}, 0.3), 1.0 / 20, 20)
+        op = quantize_plane(plane({(3, 0): 1.0}), 0.3, 1.0 / 20, 20)
         d = parity_matrix(op.dimension)
         m = op.matrix
         assert np.abs(d @ m.conj() @ d - m).max() <= 1e-15 * (1 + np.abs(m).max())
@@ -170,8 +169,8 @@ class TestQuantizePlane:
         assert np.array_equal(m, m.T)
 
     def test_basis_metadata(self):
-        sym = plane({(3, 0): 1.0}, 0.1)
-        op = quantize_plane(sym, 0.2, 9)
+        sym = plane({(3, 0): 1.0})
+        op = quantize_plane(sym, 0.1, 0.2, 9)
         assert op.basis.kind == "fock"
         assert op.basis.N == 9
         assert op.basis.padding == 3
@@ -179,8 +178,8 @@ class TestQuantizePlane:
 
     def test_degree_guard(self):
         with pytest.raises(ConfigError):
-            quantize_plane(plane({(9, 0): 1.0}, 0.1), 0.1, 5)
+            quantize_plane(plane({(9, 0): 1.0}), 0.1, 0.1, 5)
 
     def test_bad_N(self):
         with pytest.raises(ConfigError):
-            quantize_plane(plane({}, 0.0), 0.1, 0)
+            quantize_plane(plane({}), 0.0, 0.1, 0)

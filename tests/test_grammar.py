@@ -50,13 +50,13 @@ class TestParseCircle:
 
 class TestParsePlane:
     def test_figure_symbol(self):
-        sym = parse_plane("x^2 + xi^2 + i*epsilon*(x^2 + x^3)", epsilon=0.1)
+        sym = parse_plane("x^2 + xi^2 + i*epsilon*(x^2 + x^3)")
         assert dict(sym.q_coeffs) == {(2, 0): 1.0, (3, 0): 1.0}
-        assert sym.epsilon == 0.1
+        assert not hasattr(sym, "epsilon")  # eps is given at each use
 
     def test_all_figures_parse(self):
         for model, text in FIGURE_TEXTS:
-            sym = parse_symbol(text, model, epsilon=0.1)
+            sym = parse_symbol(text, model)
             assert isinstance(sym, (CircleSymbol, PlaneSymbol))
 
 
@@ -82,13 +82,13 @@ class TestRejections:
 
     def test_plane_f_must_be_oscillator(self):
         with pytest.raises(ConfigError):
-            parse_plane("x^2 + 2*xi^2 + i*epsilon*x^2", epsilon=0.1)
+            parse_plane("x^2 + 2*xi^2 + i*epsilon*x^2")
         with pytest.raises(ConfigError):
-            parse_plane("x^2 + i*epsilon*x^2", epsilon=0.1)
+            parse_plane("x^2 + i*epsilon*x^2")
 
     def test_circle_variables_rejected_on_plane(self):
         with pytest.raises(ConfigError):
-            parse_plane("x^2 + xi^2 + i*epsilon*cos(theta)", epsilon=0.1)
+            parse_plane("x^2 + xi^2 + i*epsilon*cos(theta)")
 
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
@@ -121,8 +121,7 @@ def plane_symbols(draw):
         c = draw(coeff)
         if c:
             q[mn] = c
-    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs=q,
-                       epsilon=0.25)
+    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs=q)
 
 
 class TestRoundTrip:
@@ -136,17 +135,17 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(plane_symbols())
     def test_plane_round_trip(self, sym):
-        back = parse_plane(format_plane(sym), epsilon=sym.epsilon)
+        back = parse_plane(format_plane(sym))
         assert dict(back.q_coeffs) == dict(sym.q_coeffs)
         assert dict(back.f_coeffs) == dict(sym.f_coeffs)
 
     def test_parse_format_parse_idempotent(self):
         for model, text in FIGURE_TEXTS:
-            first = parse_symbol(text, model, epsilon=0.3)
+            first = parse_symbol(text, model)
             if model == "circle":
                 second = parse_circle(format_circle(first))
                 assert dict(second.q_terms) == dict(first.q_terms)
                 assert second.f_coeffs == first.f_coeffs
             else:
-                second = parse_plane(format_plane(first), epsilon=0.3)
+                second = parse_plane(format_plane(first))
                 assert dict(second.q_coeffs) == dict(first.q_coeffs)

@@ -1,0 +1,60 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from semispec import (ActionMap, Basis, CircleSymbol, ConfigError,
+                      ExperimentConfig, PlaneSymbol, Rectangle,
+                      TruncatedOperator, ladder, predict_spectrum,
+                      quantize_circle, quantize_plane)
+
+CIRCLE = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={(1, 0): 0.5, (-1, 0): 0.5})
+PLANE = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs={(3, 0): 1.0})
+
+# Every entry point that takes hbar, called with a given hbar.
+HBAR_ENTRY_POINTS = {
+    "TruncatedOperator": lambda h: TruncatedOperator(
+        matrix=np.eye(2), basis=Basis(kind="fock", N=1), hbar=h),
+    "quantize_circle": lambda h: quantize_circle(CIRCLE, 0.1, h, 4),
+    "quantize_plane": lambda h: quantize_plane(PLANE, 0.1, h, 4),
+    "ladder": lambda h: ladder(3, h),
+    "hbar_value": lambda h: ExperimentConfig(
+        model="circle", symbol="I", N=4, hbar=h).hbar_value(),
+    "predict_spectrum": lambda h: predict_spectrum(
+        ActionMap(CIRCLE.cylinder_map(0.1)), h, "circle_k",
+        "principal_exact", Rectangle(-0.5, 0.5, -0.1, 0.1)),
+}
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, 0.0],
+                         ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("entry", HBAR_ENTRY_POINTS)
+def test_bad_hbar_is_config_error(entry, hbar):
+    # NaN and inf used to pass an hbar <= 0 test: ladder(3, nan) returned
+    # a NaN matrix and quantize_plane reported an overflow
+    with pytest.raises(ConfigError, match="hbar must be finite and positive"):
+        HBAR_ENTRY_POINTS[entry](hbar)
+
+
+def _operator_json(**fields):
+    d = {"basis": "fock", "N": 1, "hbar": 1.0,
+         "rows": [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}
+    d.update(fields)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("fields", [{"N": 1.7}, {"N": "1"}, {"N": None},
+                                    {"padding": 0.5}],
+                         ids=["N-fraction", "N-string", "N-null",
+                              "padding-fraction"])
+def test_non_integral_basis_size_in_json(fields):
+    # int() used to cut N = 1.7 to 1
+    with pytest.raises(ConfigError, match="must be an integer"):
+        TruncatedOperator.from_json(_operator_json(**fields))
+
+
+def test_integral_float_N_in_json_is_the_int():
+    op = TruncatedOperator.from_json(_operator_json(N=1.0))
+    assert op.basis.N == 1 and type(op.basis.N) is int
+    assert op.to_json() == TruncatedOperator.from_json(_operator_json()).to_json()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semispec import (BranchCutError, CircleSymbol, ConfigError, DomainError,
                       PlaneSymbol, eval_circle, eval_plane, pt_symmetry_check,
-                      pullback_action_angle, theta_average)
+                      theta_average)
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}  # cos(theta) as exponential pair
 
@@ -18,9 +18,8 @@ def fig1_circle():
     return CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={**COS, (0, 2): 1.0})
 
 
-def plane(q_coeffs, eps):
-    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0},
-                       q_coeffs=q_coeffs, epsilon=eps)
+def plane(q_coeffs):
+    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs=q_coeffs)
 
 
 class TestEvalCircle:
@@ -51,10 +50,10 @@ class TestEvalCircle:
 
 class TestEvalPlane:
     def test_eps_zero(self):
-        assert eval_plane(plane({(2, 0): 1.0}, 0.0), 1.0, 0.0) == 1.0
+        assert eval_plane(plane({(2, 0): 1.0}), 1.0, 0.0, 0.0) == 1.0
 
     def test_simple(self):
-        assert eval_plane(plane({(2, 0): 1.0}, 0.1), 1.0, 1.0) == pytest.approx(2 + 0.1j)
+        assert eval_plane(plane({(2, 0): 1.0}), 1.0, 1.0, 0.1) == pytest.approx(2 + 0.1j)
 
     def test_horner_oracle(self):
         # oracle: Horner evaluation written independently of the monomial sum
@@ -64,13 +63,13 @@ class TestEvalPlane:
             return f + 1j * eps * q
 
         x, xi, eps = 0.5, -0.5, 0.123
-        got = eval_plane(plane({(4, 0): 1.0}, eps), x, xi)
+        got = eval_plane(plane({(4, 0): 1.0}), x, xi, eps)
         assert abs(got - horner(x, xi, eps)) <= 1e-15
         assert got == pytest.approx(0.5 + 0.0076875j, abs=1e-12)
 
     def test_inf_rejected(self):
         with pytest.raises(DomainError):
-            eval_plane(plane({(2, 0): 1.0}, 0.1), float("inf"), 0.0)
+            eval_plane(plane({(2, 0): 1.0}), float("inf"), 0.0, 0.1)
 
 
 coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -149,7 +148,7 @@ class TestThetaAverage:
 class TestPullback:
     def test_f_part_is_twice_action(self, rng):
         # oracle: cos^2 + sin^2 = 1, checked at 100 random complex points
-        cyl = pullback_action_angle(plane({}, 0.0))
+        cyl = plane({}).cylinder_map(0.0)
         for _ in range(100):
             theta = complex(rng.uniform(-3, 3), rng.uniform(-0.5, 0.5))
             I = complex(rng.uniform(0.05, 2.0), rng.uniform(-0.5, 0.5))
@@ -157,15 +156,15 @@ class TestPullback:
             assert abs(val - 2 * I) <= 1e-12 * (1 + abs(val))
 
     def test_q_x_squared_point(self):
-        cyl = pullback_action_angle(plane({(2, 0): 1.0}, 1.0))
+        cyl = plane({(2, 0): 1.0}).cylinder_map(1.0)
         # q-hat at theta=0, I=0.5: x = sqrt(1) = 1, so q = 1 (on top of f = 2I)
         val = complex(cyl.value(0.0, 0.5))
         assert val == pytest.approx(1.0 + 1j)
 
     def test_theta_average_of_pulled_back_x2(self, rng):
         # oracle: 256-point trapezoid of (2I) cos^2(theta) equals I
-        sym = plane({(2, 0): 1.0}, 1.0)
-        cyl = pullback_action_angle(sym)
+        sym = plane({(2, 0): 1.0})
+        cyl = sym.cylinder_map(1.0)
         thetas = 2 * np.pi * np.arange(256) / 256
         for I in rng.uniform(0.1, 2.0, size=10):
             qhat = (np.array([complex(cyl.value(t, I)) for t in thetas]) - 2 * I) / 1j
@@ -173,13 +172,13 @@ class TestPullback:
         assert sym.q_average_coeffs() == (0.0, 1.0)
 
     def test_level_set_identity(self):
-        cyl = pullback_action_angle(plane({}, 0.0))
+        cyl = plane({}).cylinder_map(0.0)
         for E in (0.25, 1.0, 3.5):
             for theta in (0.0, 0.7, 2.9):
                 assert abs(complex(cyl.value(theta, E / 2.0)) - E) <= 1e-14 * (1 + E)
 
     def test_branch_cut_rejected(self):
-        cyl = pullback_action_angle(plane({(2, 0): 1.0}, 0.1))
+        cyl = plane({(2, 0): 1.0}).cylinder_map(0.1)
         with pytest.raises(BranchCutError):
             cyl.value(0.0, -0.3)
         with pytest.raises(BranchCutError):
@@ -211,18 +210,19 @@ class TestFusedEvaluation:
 
     def test_oscillator(self, rng):
         sym = plane({(2, 0): 1.0, (3, 0): 0.5, (1, 2): -0.7, (0, 4): 0.2,
-                     (1, 0): 0.3}, 0.15)
+                     (1, 0): 0.3})
 
         def oracle(theta, I):
             r = cmath.sqrt(2 * I)
-            return eval_plane(sym, r * cmath.cos(theta), -r * cmath.sin(theta))
+            return eval_plane(sym, r * cmath.cos(theta), -r * cmath.sin(theta),
+                              0.15)
 
-        self._check(pullback_action_angle(sym), oracle, rng)
+        self._check(sym.cylinder_map(0.15), oracle, rng)
 
     def test_broadcasts_nodes_against_energies(self):
         # a column of nodes against a grid of loops, as the action layer
         # calls it, matches the scalar call at every cell
-        cyl = pullback_action_angle(plane({(2, 0): 1.0, (0, 3): 1.0}, 0.1))
+        cyl = plane({(2, 0): 1.0, (0, 3): 1.0}).cylinder_map(0.1)
         thetas = np.linspace(0.0, 6.0, 7)[:, None]
         I = np.linspace(0.3, 0.9, 21).reshape(7, 3) + 0.01j
         grid = cyl.value_and_dI(thetas, I)
@@ -236,7 +236,7 @@ class TestFusedEvaluation:
 
 class TestPTSymmetryCheck:
     @staticmethod
-    def _substitution_oracle(sym, rng):
+    def _substitution_oracle(sym, eps, rng):
         # conj(p(-x, xi)) == p(x, xi) at 100 random complex points
         worst = 0.0
         for _ in range(100):
@@ -244,28 +244,29 @@ class TestPTSymmetryCheck:
             xi = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
             # conjugating the symbol of a real-analytic p: p, evaluated at
             # conjugate arguments, conjugated
-            lhs = eval_plane(sym, -x.conjugate(), xi.conjugate()).conjugate()
-            rhs = eval_plane(sym, x, xi)
+            lhs = eval_plane(sym, -x.conjugate(), xi.conjugate(),
+                             eps).conjugate()
+            rhs = eval_plane(sym, x, xi, eps)
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
         return worst <= 1e-12
 
     def test_x_cubed_symmetric(self, rng):
-        sym = plane({(3, 0): 1.0}, 0.2)
+        sym = plane({(3, 0): 1.0})
         assert pt_symmetry_check(sym) is True
-        assert self._substitution_oracle(sym, rng) is True
+        assert self._substitution_oracle(sym, 0.2, rng) is True
 
     def test_x_squared_not_symmetric(self, rng):
-        sym = plane({(2, 0): 1.0}, 0.2)
+        sym = plane({(2, 0): 1.0})
         assert pt_symmetry_check(sym) is False
-        assert self._substitution_oracle(sym, rng) is False
+        assert self._substitution_oracle(sym, 0.2, rng) is False
 
     def test_selfadjoint_case(self):
-        assert pt_symmetry_check(plane({}, 0.0)) is True
+        assert pt_symmetry_check(plane({})) is True
 
     def test_mixed(self, rng):
-        sym = plane({(1, 1): 1.0, (3, 0): -0.5}, 0.1)
+        sym = plane({(1, 1): 1.0, (3, 0): -0.5})
         assert pt_symmetry_check(sym) is True
-        assert self._substitution_oracle(sym, rng) is True
+        assert self._substitution_oracle(sym, 0.1, rng) is True
 
 
 class TestValidation:
@@ -279,14 +280,9 @@ class TestValidation:
 
     def test_plane_f_pinned(self):
         with pytest.raises(ConfigError):
-            PlaneSymbol(f_coeffs={(2, 0): 1.0}, q_coeffs={}, epsilon=0.0)
+            PlaneSymbol(f_coeffs={(2, 0): 1.0}, q_coeffs={})
         with pytest.raises(ConfigError):
-            PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 2.0}, q_coeffs={},
-                        epsilon=0.0)
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ConfigError):
-            plane({}, -0.1)
+            PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 2.0}, q_coeffs={})
 
     def test_f_trailing_zeros_trimmed(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0, 0.0), q_terms={})

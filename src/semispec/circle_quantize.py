@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .operators import Basis, TruncatedOperator, positive_hbar
+from .operators import (Basis, TruncatedOperator, finite, integral,
+                        positive_hbar)
 from .symbols import CircleSymbol
 
 
@@ -27,7 +28,9 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
     e^{i m theta} I^n with coefficient c of the full symbol, for every l
     with both l and l+m in [-N, N].
     """
+    eps = finite("eps", eps)
     hbar = positive_hbar(hbar)
+    N = integral("N", N)
     if N < 1:
         if sym.max_fourier_index > 0:
             raise TruncationError(

@@ -24,22 +24,25 @@ Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
 
 * Every window goes through aggressive early deflation (Part II) on its
   trailing nw rows: the whole window when it has at most MULTISHIFT_MIN
-  rows, else nw = min(MAX_SHIFTS, size // ROWS_PER_SHIFT).  That block
-  goes to Schur form on a copy by single-shift QR sweeps (Wilkinson
-  shift, an exceptional one every EXCEPTIONAL_EVERY-th sweep without a
-  deflation at the bottom), each one np.linalg.qr of the unreduced block
-  minus the shift and three products with its Q.  The Schur form turns
-  the entry coupling the block to the rest of the window into a spike,
-  and the eigenvalues below its last non-negligible entry deflate at
-  once.  A whole window has no coupling entry and deflates completely.
+  (100) rows, a size up to which single-shift sweeps alone beat the
+  multishift path, else nw = min(MAX_SHIFTS, size // ROWS_PER_SHIFT).
+  Of the figure matrices at N=66 only the circle ones (133 rows) are
+  larger.  That block goes to Schur form on a copy by single-shift QR
+  sweeps (Wilkinson shift, an exceptional one every EXCEPTIONAL_EVERY-th
+  sweep without a deflation at the bottom), each one np.linalg.qr of the
+  unreduced block minus the shift and three products with its Q.  The
+  Schur form turns the entry coupling the block to the rest of the
+  window into a spike, and the eigenvalues below its last non-negligible
+  entry deflate at once.  A whole window has no coupling entry and
+  deflates completely.
 * When less than NIBBLE of a larger window's block deflated, its
   undeflated eigenvalues are the shifts of a small-bulge multishift
-  sweep (Part I): one single-shift bulge per shift, the bulges
-  BULGE_SPACING rows apart, the whole chain moving one row per step as
-  one batched 2x2 rotation product on strided views of the row and
-  column pairs of H and the rows of Q^T.  Every EXCEPTIONAL_EVERY-th
-  such sweep without a deflation at the bottom chases one bulge with an
-  exceptional shift instead.
+  sweep (Part I) over the rows that did not deflate, [lo, hi - deflated]:
+  one single-shift bulge per shift, the bulges BULGE_SPACING rows apart,
+  the whole chain moving one row per step as one batched 2x2 rotation
+  product on strided views of the row and column pairs of H and the rows
+  of Q^T.  Every EXCEPTIONAL_EVERY-th such sweep without a deflation at
+  the bottom chases one bulge with an exceptional shift instead.
 
 Only unitary transformations (reflections, QR factors and the chain's
 rotations) touch H and Q, and they are accumulated so a Schur
@@ -67,7 +70,13 @@ from .operators import matrix_fingerprint
 DEFLATION_TOL = 1e-14
 MAX_ITER_FACTOR = 40
 EXCEPTIONAL_EVERY = 10
-MULTISHIFT_MIN = 40  # larger windows take multishift sweeps
+# Windows of at most MULTISHIFT_MIN rows are finished whole by
+# single-shift sweeps; larger ones take multishift sweeps.  The five
+# figure matrices at N=66 and the FIG1 scan at N=24..132 (eps 0.1) took
+# 504 / 348 / 404 ms and 1251 / 960 / 1047 ms at 40 / 100 / 120 (CPU
+# time, min of 7, one BLAS thread, 2-CPU host): past 100 rows the windows
+# inside dims 193 and 265 solve slower without the multishift path.
+MULTISHIFT_MIN = 100
 ROWS_PER_SHIFT = 8
 MAX_SHIFTS = 32
 BULGE_SPACING = 3  # the least spacing that keeps bulges independent
@@ -379,6 +388,10 @@ def _schur(a, scale=1.0):
             continue
         if deflated >= NIBBLE * nw:
             continue
+        if deflated:
+            # the sweep leaves the rows that just deflated alone
+            hi -= deflated
+            since_move = 0
         since_move += 1
         if since_move % EXCEPTIONAL_EVERY == 0:
             shifts = [h[hi, hi] + 0.75 * abs(h[hi, hi - 1])]

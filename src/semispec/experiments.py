@@ -26,7 +26,7 @@ from .eig import eigenvalues_of
 from .errors import ConfigError, PipelineError, SemispecError
 from .fock_quantize import quantize_plane
 from .grammar import parse_circle, parse_plane
-from .operators import integral, positive_hbar
+from .operators import finite, integral, positive_hbar
 from .symbols import pt_symmetry_check
 
 INTERIOR_FRACTION = 0.8  # truncation corrupts edge eigenvalues
@@ -91,7 +91,8 @@ class ExperimentConfig:
                 eps = math.inf
         else:
             eps = 0.0
-        if not math.isfinite(eps) or eps < 0:
+        eps = finite("resolved epsilon", eps)
+        if eps < 0:
             raise ConfigError(f"resolved epsilon {eps!r} is invalid")
         if eps >= 0.5:
             warnings.warn(

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericRangeError
-from .operators import Basis, TruncatedOperator, positive_hbar
+from .operators import (Basis, TruncatedOperator, finite, integral,
+                        positive_hbar)
 from .symbols import PlaneSymbol
 
 MAX_MONOMIAL_DEGREE = 8  # per variable; higher powers are out of scope
@@ -85,6 +86,8 @@ def quantize_plane(sym: PlaneSymbol, eps: float, hbar: float, N: int,
     ``extra_padding`` widens the assembly dimension beyond the default
     N+1+deg(symbol); the retained block must not depend on it.
     """
+    eps = finite("eps", eps)
+    N = integral("N", N)
     if N < 1:
         raise ConfigError("N must be >= 1")
     hbar = positive_hbar(hbar)

@@ -34,6 +34,14 @@ def positive_hbar(hbar):
     return h
 
 
+def finite(name, value):
+    """value as a float; ConfigError unless it is finite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return v
+
+
 def integral(name, value):
     """value as an int; ConfigError unless it is an integral number."""
     if isinstance(value, (int, np.integer)) or (

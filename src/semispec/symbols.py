@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BranchCutError, ConfigError, DomainError, LevelSetError
+from .operators import finite
 
 _PAIRING_TOL = 1e-12
 
@@ -94,7 +95,7 @@ class CircleSymbol:
     def cylinder_map(self, eps):
         """Full symbol on the cylinder at a given eps, ready for the action
         machinery (value with its dI-derivative, action-variable helpers)."""
-        return _CircleCylinderMap(self, float(eps))
+        return _CircleCylinderMap(self, finite("eps", eps))
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ class PlaneSymbol:
         the unperturbed part becomes exactly 2I.  Principal branch of the
         square root; real I <= 0 sits on the cut and is rejected.
         """
-        return _OscillatorCylinderMap(self, float(eps))
+        return _OscillatorCylinderMap(self, finite("eps", eps))
 
 
 def _double_factorial(k):

@@ -9,6 +9,7 @@ from semispec.experiments import ExperimentConfig, build_operator
 
 U = np.finfo(float).eps
 FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
+FIGURE07 = "x^2 + xi^2 + i*epsilon*(x^2 + x^3)"
 
 
 def charpoly_leverrier(m):
@@ -251,14 +252,17 @@ class TestErrors:
         assert res.source_fingerprint == ref.source_fingerprint
 
     def test_shift_budget_exhaustion(self, rng, monkeypatch):
-        # this matrix needs 430 shifts: 346 in the single-shift sweeps of
-        # 24 windows and 84 in 14 multishift sweeps, so a budget of 360
-        # fails only when a multishift sweep counts each of its shifts
-        m = random_complex(rng, 60)
-        monkeypatch.setattr(eig, "MAX_ITER_FACTOR", 6)
-        with pytest.raises(SolverError, match="within 360 shifts") as exc:
+        # this matrix, above eig.MULTISHIFT_MIN rows, needs 1113 shifts:
+        # 964 in the single-shift sweeps of 19 windows and 149 in 10
+        # multishift sweeps, so a budget of 1050 fails only when a
+        # multishift sweep counts each of its shifts (one per sweep would
+        # make 974)
+        m = random_complex(rng, 150)
+        assert m.shape[0] > eig.MULTISHIFT_MIN
+        monkeypatch.setattr(eig, "MAX_ITER_FACTOR", 7)
+        with pytest.raises(SolverError, match="within 1050 shifts") as exc:
             eigenvalues(m)
-        assert exc.value.partial.shape == (60, 60)
+        assert exc.value.partial.shape == (150, 150)
 
     def test_nonconvergence_carries_partial_form(self, rng, monkeypatch):
         m = random_complex(rng, 12)
@@ -336,9 +340,13 @@ class TestMultishift:
         assert np.array_equal(h, m)
         assert np.array_equal(qt, np.eye(m.shape[0]))
 
-    @pytest.mark.parametrize("n", [60, 120, 200])
-    def test_random_schur_form(self, rng, n):
+    # the largest whole window, the smallest multishift one, and two more
+    SIZES = [eig.MULTISHIFT_MIN, eig.MULTISHIFT_MIN + 1, 120, 200]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_schur_form(self, rng, sweep_shifts, n):
         self.check_schur(random_complex(rng, n))
+        assert bool(sweep_shifts) == (n > eig.MULTISHIFT_MIN)
 
     def test_hermitian_real_spectrum(self, rng):
         m = random_complex(rng, 100)
@@ -356,9 +364,10 @@ class TestMultishift:
         top = np.linalg.eigvals(m[:n // 2, :n // 2])
         assert hausdorff(np.diag(t)[:n // 2], top) <= 1e-8 * np.linalg.norm(m)
 
-    @pytest.mark.parametrize("n", [60, 120, 200])
-    def test_agrees_with_numpy_engine(self, rng, n):
+    @pytest.mark.parametrize("n", SIZES)
+    def test_agrees_with_numpy_engine(self, rng, sweep_shifts, n):
         assert_agrees_with_numpy_engine(random_complex(rng, n))
+        assert bool(sweep_shifts) == (n > eig.MULTISHIFT_MIN)
 
     def test_figure_matrix_takes_multishift_path(self, sweep_shifts):
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
@@ -367,16 +376,55 @@ class TestMultishift:
         assert sweep_shifts and max(sweep_shifts) == 133 // eig.ROWS_PER_SHIFT
         assert res.tolerance <= 10 * 133 * U
 
+    @pytest.mark.parametrize("model,symbol,rows", [("line", FIGURE07, 67),
+                                                   ("circle", FIG1, 133)],
+                             ids=["figure07", "figure01"])
+    def test_crossover(self, sweep_shifts, model, symbol, rows):
+        # figure07's one window is finished whole by single-shift sweeps;
+        # figure01's takes multishift sweeps until its windows are small
+        cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
+        res = eigenvalues_of(build_operator(cfg)[1])
+        assert len(res.eigenvalues) == rows
+        assert bool(sweep_shifts) == (rows > eig.MULTISHIFT_MIN)
+        assert res.tolerance <= 10 * rows * U
+
     def test_early_deflation_shift_count(self, sweep_shifts):
         # the multishift sweeps with the eigenvalues of the trailing block
         # as shifts took 42 sweeps and 1344 shifts on this matrix; early
-        # deflation takes 18 sweeps and 220 shifts
+        # deflation takes 8 sweeps and 161 shifts
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=132,
                                epsilon=0.1)
         res = eigenvalues_of(build_operator(cfg)[1])
         assert len(res.eigenvalues) == 265
         assert sweep_shifts and sum(sweep_shifts) <= 400
         assert res.tolerance <= 10 * 265 * U
+
+    def test_sweep_leaves_deflated_rows_alone(self, monkeypatch):
+        # a sweep after a partial early deflation of [lo, hi] runs on
+        # [lo, hi - deflated]; on this matrix 7 of the 8 sweeps do
+        events = []
+        early, sweep = eig._early_deflation, eig._multishift_sweep
+
+        def recording_early(h, qt, lo, hi, nw, budget):
+            out = early(h, qt, lo, hi, nw, budget)
+            events.append((lo, hi, out[0]))
+            return out
+
+        def recording_sweep(h, qt, lo, hi, shifts):
+            events.append((lo, hi, None))
+            return sweep(h, qt, lo, hi, shifts)
+
+        monkeypatch.setattr(eig, "_early_deflation", recording_early)
+        monkeypatch.setattr(eig, "_multishift_sweep", recording_sweep)
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=132,
+                               epsilon=0.1)
+        eigenvalues_of(build_operator(cfg)[1])
+        sweeps = [(before, (lo, hi)) for before, (lo, hi, d)
+                  in zip(events, events[1:]) if d is None]
+        assert sweeps
+        assert all(window == (lo, hi - deflated)
+                   for (lo, hi, deflated), window in sweeps)
+        assert any(before[2] > 0 for before, _ in sweeps)
 
     @pytest.mark.parametrize("step", [9, 13])
     def test_batched_step_equals_one_by_one(self, rng, step):
@@ -492,7 +540,6 @@ class TestBlocks:
     matrix (a component of the nonzero pattern of M + M^T) on its own."""
 
     FIGURE05 = "x^2 + xi^2 + i*epsilon*x^2"
-    FIGURE07 = "x^2 + xi^2 + i*epsilon*(x^2 + x^3)"
     FIGURE08 = "x^2 + xi^2 + i*epsilon*x^4"
 
     @staticmethod

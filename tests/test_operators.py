@@ -58,3 +58,34 @@ def test_integral_float_N_in_json_is_the_int():
     op = TruncatedOperator.from_json(_operator_json(N=1.0))
     assert op.basis.N == 1 and type(op.basis.N) is int
     assert op.to_json() == TruncatedOperator.from_json(_operator_json()).to_json()
+
+
+# Every library entry point that takes eps, called with a given eps.
+EPS_ENTRY_POINTS = {
+    "quantize_circle": lambda e: quantize_circle(CIRCLE, e, 0.25, 4),
+    "quantize_plane": lambda e: quantize_plane(PLANE, e, 0.25, 4),
+    "circle_cylinder_map": lambda e: CIRCLE.cylinder_map(e),
+    "plane_cylinder_map": lambda e: PLANE.cylinder_map(e),
+    "epsilon_value": lambda e: ExperimentConfig(
+        model="circle", symbol="I", N=4, epsilon=e).epsilon_value(),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", EPS_ENTRY_POINTS)
+def test_non_finite_eps_is_config_error(entry, eps):
+    # a NaN eps used to surface as a numeric failure that misnamed it:
+    # DomainError from quantize_circle, NumericRangeError from
+    # quantize_plane, LevelSetError from the action map
+    with pytest.raises(ConfigError, match="must be finite"):
+        EPS_ENTRY_POINTS[entry](eps)
+
+
+@pytest.mark.parametrize("quantize", [quantize_circle, quantize_plane],
+                         ids=["circle", "plane"])
+def test_non_integral_N_is_config_error(quantize):
+    # range() of a float N used to raise TypeError
+    sym = CIRCLE if quantize is quantize_circle else PLANE
+    with pytest.raises(ConfigError, match="N must be an integer"):
+        quantize(sym, 0.1, 0.25, 2.5)

@@ -376,16 +376,17 @@ class TestMultishift:
         assert sweep_shifts and max(sweep_shifts) == 133 // eig.ROWS_PER_SHIFT
         assert res.tolerance <= 10 * 133 * U
 
-    @pytest.mark.parametrize("model,symbol,rows", [("line", FIGURE07, 67),
-                                                   ("circle", FIG1, 133)],
+    @pytest.mark.parametrize("model,symbol,rows,multishift",
+                             [("line", FIGURE07, 67, False),
+                              ("circle", FIG1, 133, True)],
                              ids=["figure07", "figure01"])
-    def test_crossover(self, sweep_shifts, model, symbol, rows):
+    def test_crossover(self, sweep_shifts, model, symbol, rows, multishift):
         # figure07's one window is finished whole by single-shift sweeps;
         # figure01's takes multishift sweeps until its windows are small
         cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
         res = eigenvalues_of(build_operator(cfg)[1])
         assert len(res.eigenvalues) == rows
-        assert bool(sweep_shifts) == (rows > eig.MULTISHIFT_MIN)
+        assert bool(sweep_shifts) == multishift
         assert res.tolerance <= 10 * rows * U
 
     def test_early_deflation_shift_count(self, sweep_shifts):

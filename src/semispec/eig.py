@@ -25,16 +25,17 @@ Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
 * Every window goes through aggressive early deflation (Part II) on its
   trailing nw rows: the whole window when it has at most MULTISHIFT_MIN
   (100) rows, a size up to which single-shift sweeps alone beat the
-  multishift path, else nw = min(MAX_SHIFTS, size // ROWS_PER_SHIFT).
-  Of the figure matrices at N=66 only the circle ones (133 rows) are
-  larger.  That block goes to Schur form on a copy by single-shift QR
-  sweeps (Wilkinson shift, an exceptional one every EXCEPTIONAL_EVERY-th
-  sweep without a deflation at the bottom), each one np.linalg.qr of the
-  unreduced block minus the shift and three products with its Q.  The
-  Schur form turns the entry coupling the block to the rest of the
-  window into a spike, and the eigenvalues below its last non-negligible
-  entry deflate at once.  A whole window has no coupling entry and
-  deflates completely.
+  multishift path, else nw = DEFLATION_WINDOW (48).  The block goes to
+  Schur form on a copy by single-shift QR sweeps (Wilkinson shift, an
+  exceptional one every EXCEPTIONAL_EVERY-th sweep without a deflation
+  at the bottom), each one np.linalg.qr of the unreduced block minus the
+  shift and three products with its Q.  The Schur form turns the entry
+  coupling the block to the rest of the window into a spike, and the
+  eigenvalues below its last non-negligible entry deflate at once.  A
+  whole window has no coupling entry and deflates completely.  Each
+  spike entry is tested as its row converges at the bottom of the
+  block; at the first row that cannot deflate, the count is known, and
+  when it is at least NIBBLE of the block the Schur form stops there.
 * When less than NIBBLE of a larger window's block deflated, its
   undeflated eigenvalues are the shifts of a small-bulge multishift
   sweep (Part I) over the rows that did not deflate, [lo, hi - deflated]:
@@ -42,7 +43,10 @@ Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
   the whole chain moving one row per step as one batched 2x2 rotation
   product on strided views of the row and column pairs of H and the rows
   of Q^T.  Every EXCEPTIONAL_EVERY-th such sweep without a deflation at
-  the bottom chases one bulge with an exceptional shift instead.
+  the bottom chases one bulge with an exceptional shift instead.  The
+  circle matrices, whose eigenvectors are localized in the Fourier
+  index, rarely get here (FIG1 at eps 0.1 first at N=132, dim 265);
+  dense input with no such structure does.
 
 Only unitary transformations (reflections, QR factors and the chain's
 rotations) touch H and Q, and they are accumulated so a Schur
@@ -77,8 +81,13 @@ EXCEPTIONAL_EVERY = 10
 # time, min of 7, one BLAS thread, 2-CPU host): past 100 rows the windows
 # inside dims 193 and 265 solve slower without the multishift path.
 MULTISHIFT_MIN = 100
-ROWS_PER_SHIFT = 8
-MAX_SHIFTS = 32
+# Early-deflation window of the larger windows.  figure01 and figure03
+# at N=66, the FIG1 scan at N=24..132 (eps 0.1) and random dense
+# matrices of 120, 200 and 265 rows took 195 / 205 / 167 / 186 / 169 ms,
+# 702 / 702 / 568 / 568 / 592 ms and 1453 / 1371 / 1456 / 1605 / 1842 ms
+# at 32 / 40 / 48 / 64 / 80 rows (CPU time, min of 7 interleaved rounds,
+# one BLAS thread, 2-CPU host).
+DEFLATION_WINDOW = 48
 BULGE_SPACING = 3  # the least spacing that keeps bulges independent
 NIBBLE = 0.14  # early deflation of this share of its window skips the sweep
 
@@ -275,7 +284,7 @@ class _OutOfShifts(Exception):
     """The shift budget ran out inside a window's Schur form."""
 
 
-def _small_schur(h, budget):
+def _small_schur(h, budget, s=0j):
     """Schur form of a small Hessenberg matrix in place, by single-shift QR.
 
     Each sweep (_qr_sweep, one QR factorization of the unreduced block)
@@ -286,14 +295,28 @@ def _small_schur(h, budget):
     transformations collected as Q^T's rows take them (H on entry is
     u^T T conj(u)), and the number of shifts spent; raises _OutOfShifts
     rather than spend more than budget.
+
+    s is the entry coupling H to the rest of its window (0 when there is
+    none).  Each row's spike entry s * u[i, 0] is tested as the row
+    converges at the bottom, when later sweeps no longer touch its rows
+    of T and u.  At the first row that cannot deflate (_spiky), the
+    deflation count is known; when it is at least NIBBLE of the rows, no
+    sweep needs the undeflated eigenvalues, and the form stops there
+    with the rows above still Hessenberg.
     """
-    u = np.eye(h.shape[0], dtype=complex)
+    n = h.shape[0]
+    u = np.eye(n, dtype=complex)
     spent = 0
-    hi = h.shape[0] - 1
+    hi = n - 1
     since_move = 0
+    undecided = True
     while hi > 0:
         lo = _split_point(h, hi)
         if lo == hi:
+            if undecided and _spiky(s, u[hi, 0], h[hi, hi]):
+                if n - 1 - hi >= NIBBLE * n:
+                    break
+                undecided = False
             hi -= 1
             since_move = 0
             continue
@@ -307,6 +330,12 @@ def _small_schur(h, budget):
         _qr_sweep(h, u, lo, hi, mu)
         spent += 1
     return u, spent
+
+
+def _spiky(s, u0, d):
+    """Whether the spike entry s * u0 of the eigenvalue d exceeds
+    DEFLATION_TOL * |d|, so that d cannot deflate."""
+    return abs(s * u0) > DEFLATION_TOL * abs(d)
 
 
 def _early_deflation(h, qt, lo, hi, nw, budget):
@@ -323,17 +352,25 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
     reaches the rest of H and Q^T by products.  When none deflated, H is
     left as it was.
 
-    Returns the number deflated, the undeflated eigenvalues (the next
-    sweep's shifts, in Schur order) and the shifts the window's Schur
-    form spent.
+    When at least NIBBLE * nw rows deflate, _small_schur stops at the
+    lowest row that cannot: the rows below it are those of the full
+    Schur form, bit for bit, and the block above it is a unitary
+    similarity of the full form's, which the reflection and _hessenberg
+    treat alike.
+
+    Returns the number deflated, the diagonal of the undeflated block
+    and the shifts the window's Schur form spent.  When fewer than
+    NIBBLE * nw rows deflated, that diagonal holds the block's
+    eigenvalues in Schur order, the next sweep's shifts; otherwise no
+    sweep reads it.
     """
     kw = hi - nw + 1
     s = complex(h[kw, kw - 1]) if kw > lo else 0j
     t = h[kw:hi + 1, kw:hi + 1].copy()
-    u, spent = _small_schur(t, budget)
-    kept = np.flatnonzero(np.abs(s * u[:, 0])
-                          > DEFLATION_TOL * np.abs(np.diagonal(t)))
-    keep = int(kept[-1]) + 1 if kept.size else 0
+    u, spent = _small_schur(t, budget, s)
+    keep = nw
+    while keep and not _spiky(s, u[keep - 1, 0], t[keep - 1, keep - 1]):
+        keep -= 1
     shifts = np.diagonal(t)[:keep].copy()
     if keep == nw:
         return 0, shifts, spent
@@ -372,8 +409,7 @@ def _schur(a, scale=1.0):
             since_move = 0
             continue
         size = hi - lo + 1
-        nw = size if size <= MULTISHIFT_MIN \
-            else min(MAX_SHIFTS, size // ROWS_PER_SHIFT)
+        nw = size if size <= MULTISHIFT_MIN else DEFLATION_WINDOW
         try:
             deflated, shifts, spent = _early_deflation(h, qt, lo, hi, nw,
                                                        budget - total)

@@ -5,7 +5,8 @@ import pytest
 
 from semispec import (ConfigError, DomainError, SolverError, eig,
                       eigenvalues, eigenvalues_of, quantize_plane, PlaneSymbol)
-from semispec.experiments import ExperimentConfig, build_operator
+from semispec.experiments import (FIGURE_SYMBOLS, ExperimentConfig,
+                                  build_operator)
 
 U = np.finfo(float).eps
 FIG1 = "I + i*epsilon*(cos(theta) + I^2)"
@@ -252,15 +253,15 @@ class TestErrors:
         assert res.source_fingerprint == ref.source_fingerprint
 
     def test_shift_budget_exhaustion(self, rng, monkeypatch):
-        # this matrix, above eig.MULTISHIFT_MIN rows, needs 1113 shifts:
-        # 964 in the single-shift sweeps of 19 windows and 149 in 10
-        # multishift sweeps, so a budget of 1050 fails only when a
+        # this matrix, above eig.MULTISHIFT_MIN rows, needs 1041 shifts:
+        # 901 in the single-shift sweeps of 7 windows and 140 in 3
+        # multishift sweeps, so a budget of 975 fails only when a
         # multishift sweep counts each of its shifts (one per sweep would
-        # make 974)
+        # make 904)
         m = random_complex(rng, 150)
         assert m.shape[0] > eig.MULTISHIFT_MIN
-        monkeypatch.setattr(eig, "MAX_ITER_FACTOR", 7)
-        with pytest.raises(SolverError, match="within 1050 shifts") as exc:
+        monkeypatch.setattr(eig, "MAX_ITER_FACTOR", 6.5)
+        with pytest.raises(SolverError, match="within 975.0 shifts") as exc:
             eigenvalues(m)
         assert exc.value.partial.shape == (150, 150)
 
@@ -369,22 +370,33 @@ class TestMultishift:
         assert_agrees_with_numpy_engine(random_complex(rng, n))
         assert bool(sweep_shifts) == (n > eig.MULTISHIFT_MIN)
 
-    def test_figure_matrix_takes_multishift_path(self, sweep_shifts):
-        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=66, delta=0.5)
-        _, op = build_operator(cfg)
-        res = eigenvalues_of(op)
-        assert sweep_shifts and max(sweep_shifts) == 133 // eig.ROWS_PER_SHIFT
-        assert res.tolerance <= 10 * 133 * U
+    def test_random_matrix_takes_multishift_path(self, rng, sweep_shifts):
+        # nothing of a random matrix's first early-deflation window
+        # deflates, so its first sweep takes all of the window's
+        # eigenvalues as shifts
+        n = 150
+        res = eigenvalues(random_complex(rng, n))
+        assert sweep_shifts[0] == eig.DEFLATION_WINDOW
+        assert max(sweep_shifts) <= eig.DEFLATION_WINDOW
+        assert res.tolerance <= 10 * n * U
 
-    @pytest.mark.parametrize("model,symbol,rows,multishift",
-                             [("line", FIGURE07, 67, False),
-                              ("circle", FIG1, 133, True)],
-                             ids=["figure07", "figure01"])
-    def test_crossover(self, sweep_shifts, model, symbol, rows, multishift):
+    @pytest.mark.parametrize("case,rows,multishift",
+                             [("figure07", 67, False),
+                              ("figure01", 133, False),
+                              ("random", 150, True)])
+    def test_crossover(self, rng, sweep_shifts, case, rows, multishift):
         # figure07's one window is finished whole by single-shift sweeps;
-        # figure01's takes multishift sweeps until its windows are small
-        cfg = ExperimentConfig(model=model, symbol=symbol, N=66, delta=0.5)
-        res = eigenvalues_of(build_operator(cfg)[1])
+        # figure01's windows above eig.MULTISHIFT_MIN rows deflate enough
+        # of their early-deflation windows to skip every multishift sweep,
+        # where a random matrix's do not
+        if case == "random":
+            m = random_complex(rng, rows)
+        else:
+            model, symbol, _ = FIGURE_SYMBOLS[case]
+            cfg = ExperimentConfig(model=model, symbol=symbol, N=66,
+                                   delta=0.5)
+            m = build_operator(cfg)[1].matrix
+        res = eigenvalues(m)
         assert len(res.eigenvalues) == rows
         assert bool(sweep_shifts) == multishift
         assert res.tolerance <= 10 * rows * U
@@ -392,7 +404,7 @@ class TestMultishift:
     def test_early_deflation_shift_count(self, sweep_shifts):
         # the multishift sweeps with the eigenvalues of the trailing block
         # as shifts took 42 sweeps and 1344 shifts on this matrix; early
-        # deflation takes 8 sweeps and 161 shifts
+        # deflation on 48-row windows takes 1 sweep and 44 shifts
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=132,
                                epsilon=0.1)
         res = eigenvalues_of(build_operator(cfg)[1])
@@ -402,7 +414,7 @@ class TestMultishift:
 
     def test_sweep_leaves_deflated_rows_alone(self, monkeypatch):
         # a sweep after a partial early deflation of [lo, hi] runs on
-        # [lo, hi - deflated]; on this matrix 7 of the 8 sweeps do
+        # [lo, hi - deflated]; on this matrix the one sweep does
         events = []
         early, sweep = eig._early_deflation, eig._multishift_sweep
 
@@ -652,7 +664,7 @@ class TestWindows:
         h0[kw:, kw:] = u.T @ tri @ u.conj()
         h0[kw, kw - 1] = 1.0
 
-        def prepared(t, budget):
+        def prepared(t, budget, s=0j):
             t[...] = tri
             return u.copy(), 0
 
@@ -666,6 +678,61 @@ class TestWindows:
         assert not np.tril(h, -2).any()
         assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
             <= 10 * n * U * np.linalg.norm(h0)
+
+    @staticmethod
+    def fig1_132():
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, N=132,
+                               epsilon=0.1)
+        return build_operator(cfg)[1].matrix.astype(complex)
+
+    def test_early_exit_deflates_as_full_form(self, monkeypatch):
+        # the first window of this matrix deflates at least NIBBLE of its
+        # trailing rows; stopping there gives the same count and the same
+        # deflated eigenvalues as the full Schur form, for fewer shifts
+        h0 = self.fig1_132()
+        n, nw = h0.shape[0], eig.DEFLATION_WINDOW
+        h, qt = h0.copy(), np.eye(n, dtype=complex)
+        deflated, _, spent = eig._early_deflation(h, qt, 0, n - 1, nw,
+                                                  n * 40)
+        assert deflated >= eig.NIBBLE * nw
+        monkeypatch.setattr(eig, "NIBBLE", 1.0)  # no exit short of the end
+        full, qt_full = h0.copy(), np.eye(n, dtype=complex)
+        deflated_full, _, spent_full = eig._early_deflation(
+            full, qt_full, 0, n - 1, nw, n * 40)
+        assert deflated == deflated_full
+        assert spent < spent_full
+        assert np.array_equal(np.diag(h)[-deflated:],
+                              np.diag(full)[-deflated:])
+        assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
+            <= 10 * n * U * np.linalg.norm(h0)
+
+    def test_whole_window_never_exits_early(self):
+        # the trailing block of the matrix above stops short of Schur form
+        # with its coupling entry, and goes all the way without one
+        h0 = self.fig1_132()
+        kw = h0.shape[0] - eig.DEFLATION_WINDOW
+        s = complex(h0[kw, kw - 1])
+        coupled, whole = h0[kw:, kw:].copy(), h0[kw:, kw:].copy()
+        eig._small_schur(coupled, 10**4, s)
+        eig._small_schur(whole, 10**4)
+        assert np.tril(coupled, -1).any()
+        assert not np.tril(whole, -1).any()
+
+    def test_shifts_are_full_form_eigenvalues(self):
+        # the second window of this matrix deflates fewer than NIBBLE of
+        # its trailing rows, so the sweep's shifts are the eigenvalues of
+        # the block's full Schur form
+        h = self.fig1_132()
+        n, nw = h.shape[0], eig.DEFLATION_WINDOW
+        qt = np.eye(n, dtype=complex)
+        first = eig._early_deflation(h, qt, 0, n - 1, nw, n * 40)[0]
+        hi = n - 1 - first
+        kw = hi - nw + 1
+        block = h[kw:hi + 1, kw:hi + 1].copy()
+        deflated, shifts, _ = eig._early_deflation(h, qt, 0, hi, nw, n * 40)
+        assert 0 < deflated < eig.NIBBLE * nw
+        eig._small_schur(block, n * 40)
+        assert np.array_equal(shifts, np.diag(block)[:nw - deflated])
 
     @pytest.mark.parametrize("lo", [0, 5])
     def test_whole_window_deflates(self, rng, lo):

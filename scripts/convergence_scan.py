@@ -55,13 +55,13 @@ def main(argv=None):
         errs.append(err)
         print(f"N={n:4d}  hbar={1.0 / n:.6f}  max_dist={err:.6e}  "
               f"[{time.perf_counter() - t0:.2f}s]")
-    if len(ns) >= 2:
-        if min(errs) > 0:
-            order = np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs),
-                               1)[0]
-            print(f"fitted log-log order: {order:.2f}")
-        else:
-            print("fitted log-log order: undefined (a max_dist is 0)")
+    if len(set(ns)) < 2:
+        print("fitted log-log order: undefined (fewer than two distinct N)")
+    elif min(errs) > 0:
+        order = np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs), 1)[0]
+        print(f"fitted log-log order: {order:.2f}")
+    else:
+        print("fitted log-log order: undefined (a max_dist is 0)")
     return 0
 
 

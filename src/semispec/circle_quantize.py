@@ -42,6 +42,8 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
     diag = np.asarray(sym.f_value((hbar * ls).astype(complex)))
     mat[np.arange(dim), np.arange(dim)] += diag
     for (m, n), c in sym.q_terms.items():
+        if abs(m) > 2 * N:
+            continue  # couples no two indices of [-N, N]
         keep = (ls + m >= -N) & (ls + m <= N)
         l = ls[keep]
         vals = (1j * eps * c) * (hbar * (l + m / 2.0)) ** n

@@ -67,10 +67,15 @@ class CircleSymbol:
         for (m, n), c in raw.items():
             _require_finite(c)
             mate = raw.get((-m, n), 0.0)
-            if abs(mate - c.conjugate()) > _PAIRING_TOL * scale:
+            if abs(mate - c.conjugate()) <= _PAIRING_TOL * scale:
+                continue
+            if m == 0:
                 raise ConfigError(
-                    f"q is not real on the cylinder: term {(m, n)} has no "
-                    f"conjugate partner at {(-m, n)}")
+                    f"q is not real on the cylinder: its theta-independent "
+                    f"term in I^{n} has the non-real coefficient {c}")
+            raise ConfigError(
+                f"q is not real on the cylinder: term {(m, n)} has no "
+                f"conjugate partner at {(-m, n)}")
         paired = {}
         for (m, n), c in raw.items():
             paired[(m, n)] = 0.5 * (c + raw[(-m, n)].conjugate())

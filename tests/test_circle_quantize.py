@@ -41,6 +41,21 @@ class TestExamples:
         oracle = 1j * 0.5 * (shift_matrix(N, 1) + shift_matrix(N, -1))
         assert np.allclose(op.matrix, oracle, atol=0, rtol=0)
 
+    @pytest.mark.parametrize("m", [9, 10**20])
+    def test_far_fourier_index_couples_nothing(self, m):
+        # e^{+-i m theta} with |m| > 2N moves every index out of [-N, N],
+        # however large m is; |m| = 2N still couples the two corners
+        N, hbar = 4, 0.25
+        f_only = np.diag(hbar * np.arange(-N, N + 1)).astype(complex)
+        far = CircleSymbol(f_coeffs=(0.0, 1.0),
+                           q_terms={(m, 0): 0.5, (-m, 0): 0.5})
+        assert np.array_equal(quantize_circle(far, 1.0, hbar, N).matrix,
+                              f_only)
+        corner = CircleSymbol(f_coeffs=(0.0, 1.0),
+                              q_terms={(2 * N, 0): 0.5, (-2 * N, 0): 0.5})
+        m_corner = quantize_circle(corner, 1.0, hbar, N).matrix
+        assert m_corner[-1, 0] == m_corner[0, -1] == 0.5j
+
     def test_midpoint_entries_exp_theta_times_I(self):
         # term e^{i theta} I at hbar=1, N=1: entry (l+1, l) = l + 1/2
         sym = CircleSymbol(f_coeffs=(0.0,), q_terms={(1, 1): 1.0, (-1, 1): 1.0})

@@ -302,6 +302,18 @@ class TestExitCodes:
         assert "numeric failure" in err
         assert "stage=predict" in err
 
+    def test_fourier_index_beyond_int64(self, tmp_path, capsys):
+        # cos(1e20*theta) couples no two indices of [-12, 12]: the matrix
+        # is built without it, and the predict stage rejects the symbol
+        argv = ["--model", "circle", "--symbol",
+                "I + i*epsilon*cos(1e20*theta)", "--N", "12",
+                "--delta", "0.5"]
+        assert run(["quantize", *argv, "--out", str(tmp_path / "q")]) == 0
+        assert (tmp_path / "q" / "operator.json").exists()
+        capsys.readouterr()
+        assert run(["compare", *argv, "--out", str(tmp_path / "c")]) == 3
+        assert "stage=predict" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["quantize", "spectrum", "pt-verify"])
     def test_numeric_failure_names_stage(self, tmp_path, capsys, command):

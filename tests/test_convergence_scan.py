@@ -36,6 +36,16 @@ def test_zero_epsilon_order_is_undefined(run_python):
     assert "nan" not in out
 
 
+def test_repeated_N_order_is_undefined(run_python):
+    # two points at the same N determine no slope (numpy's polyfit would
+    # warn that the fit is poorly conditioned)
+    code, out, err = scan(run_python, "--Ns", "8,8")
+    assert code == 0
+    assert err == ""
+    assert out.count("N=   8") == 2
+    assert "fitted log-log order: undefined" in out
+
+
 def test_numeric_failure_is_3(run_python):
     # f = I^3 - I folds at I = 1/sqrt(3): the action inversion misses and
     # the scan must report the failing stage, as the CLI does

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semispec import (BranchCutError, CircleSymbol, ConfigError, DomainError,
-                      PlaneSymbol, eval_circle, eval_plane, pt_symmetry_check,
-                      theta_average)
+                      PlaneSymbol, eval_circle, eval_plane, parse_symbol,
+                      pt_symmetry_check, theta_average)
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}  # cos(theta) as exponential pair
 
@@ -273,6 +273,14 @@ class TestValidation:
     def test_unpaired_q_rejected(self):
         with pytest.raises(ConfigError):
             CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={(1, 0): 1.0})
+
+    def test_non_real_theta_independent_term(self):
+        # a term with m = 0 is its own partner: its coefficient must be real
+        with pytest.raises(ConfigError,
+                           match="theta-independent term in I\\^1 has the "
+                                 "non-real coefficient") as exc:
+            parse_symbol("I + epsilon*I", "circle")
+        assert "partner" not in str(exc.value)
 
     def test_conjugate_pairing_symmetrized(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms=COS)

@@ -293,30 +293,33 @@ def _small_schur(h, budget, s=0j):
     one sweep: its Wilkinson shift is an eigenvalue of the block, so the
     next split test zeroes its subdiagonal.  Returns u, the
     transformations collected as Q^T's rows take them (H on entry is
-    u^T T conj(u)), and the number of shifts spent; raises _OutOfShifts
-    rather than spend more than budget.
+    u^T T conj(u)), the number of shifts spent and keep; raises
+    _OutOfShifts rather than spend more than budget.
 
     s is the entry coupling H to the rest of its window (0 when there is
     none).  Each row's spike entry s * u[i, 0] is tested as the row
     converges at the bottom, when later sweeps no longer touch its rows
-    of T and u.  At the first row that cannot deflate (_spiky), the
-    deflation count is known; when it is at least NIBBLE of the rows, no
-    sweep needs the undeflated eigenvalues, and the form stops there
-    with the rows above still Hessenberg.
+    of T and u.  keep counts the rows down to the lowest, row 0 included,
+    whose spike entry exceeds DEFLATION_TOL * |T[i, i]| and which cannot
+    deflate, or is 0 when there is none (always for s = 0).  When the rows
+    below it are at least NIBBLE of the rows, no sweep needs the
+    undeflated eigenvalues, and the form stops there with the rows above
+    still Hessenberg.
     """
     n = h.shape[0]
     u = np.eye(n, dtype=complex)
     spent = 0
+    keep = 0
     hi = n - 1
     since_move = 0
-    undecided = True
-    while hi > 0:
+    while hi >= 0:
         lo = _split_point(h, hi)
         if lo == hi:
-            if undecided and _spiky(s, u[hi, 0], h[hi, hi]):
-                if n - 1 - hi >= NIBBLE * n:
+            if not keep and (abs(s * u[hi, 0])
+                             > DEFLATION_TOL * abs(h[hi, hi])):
+                keep = hi + 1
+                if n - keep >= NIBBLE * n:
                     break
-                undecided = False
             hi -= 1
             since_move = 0
             continue
@@ -329,13 +332,7 @@ def _small_schur(h, budget, s=0j):
             mu = _wilkinson_shift(h, hi)
         _qr_sweep(h, u, lo, hi, mu)
         spent += 1
-    return u, spent
-
-
-def _spiky(s, u0, d):
-    """Whether the spike entry s * u0 of the eigenvalue d exceeds
-    DEFLATION_TOL * |d|, so that d cannot deflate."""
-    return abs(s * u0) > DEFLATION_TOL * abs(d)
+    return u, spent, keep
 
 
 def _early_deflation(h, qt, lo, hi, nw, budget):
@@ -345,12 +342,12 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
     T = U W U^H, which turns the entry s = H[kw, kw-1] coupling it to the
     rest of the window into the spike s * U[:, 0]; a whole window
     (kw == lo) has s = 0.  Every eigenvalue below the last one whose
-    spike entry exceeds DEFLATION_TOL * |T[i, i]| deflates where it is.
-    When some deflated, the spike is cut to the undeflated rows, one
-    Householder reflection takes it to a multiple of e_1, _hessenberg
-    restores the undeflated block, and the block's transformation
-    reaches the rest of H and Q^T by products.  When none deflated, H is
-    left as it was.
+    spike entry exceeds DEFLATION_TOL * |T[i, i]| deflates where it is;
+    _small_schur counts the keep rows down to that one.  When some
+    deflated, the spike is cut to the undeflated rows, one Householder
+    reflection takes it to a multiple of e_1, _hessenberg restores the
+    undeflated block, and the block's transformation reaches the rest of
+    H and Q^T by products.  When none deflated, H is left as it was.
 
     When at least NIBBLE * nw rows deflate, _small_schur stops at the
     lowest row that cannot: the rows below it are those of the full
@@ -367,10 +364,7 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
     kw = hi - nw + 1
     s = complex(h[kw, kw - 1]) if kw > lo else 0j
     t = h[kw:hi + 1, kw:hi + 1].copy()
-    u, spent = _small_schur(t, budget, s)
-    keep = nw
-    while keep and not _spiky(s, u[keep - 1, 0], t[keep - 1, keep - 1]):
-        keep -= 1
+    u, spent, keep = _small_schur(t, budget, s)
     shifts = np.diagonal(t)[:keep].copy()
     if keep == nw:
         return 0, shifts, spent
@@ -392,9 +386,10 @@ def _early_deflation(h, qt, lo, hi, nw, budget):
 def _schur(a, scale=1.0):
     """Complex Schur form scale * A = Q T Q^H by shifted QR on Hessenberg H.
 
-    Every window goes to _early_deflation.  The budget MAX_ITER_FACTOR * n
-    counts shifts: a single-shift sweep spends one, and a multishift
-    sweep one per bulge.
+    Every window, a single row included, goes to _early_deflation, and hi
+    steps past the rows that deflated in one move (past lo for a whole
+    window).  The budget MAX_ITER_FACTOR * n counts shifts: a single-shift
+    sweep spends one, and a multishift sweep one per bulge.
     """
     h, qt = _hessenberg(a, scale)
     n = h.shape[0]
@@ -404,10 +399,6 @@ def _schur(a, scale=1.0):
     since_move = 0
     while hi > 0:
         lo = _split_point(h, hi)
-        if lo == hi:
-            hi -= 1
-            since_move = 0
-            continue
         size = hi - lo + 1
         nw = size if size <= MULTISHIFT_MIN else DEFLATION_WINDOW
         try:
@@ -418,16 +409,11 @@ def _schur(a, scale=1.0):
                 f"QR iteration did not converge within {budget} shifts",
                 partial=h / scale) from None
         total += spent
-        if deflated == size:
-            hi = lo - 1
-            since_move = 0
-            continue
-        if deflated >= NIBBLE * nw:
-            continue
         if deflated:
-            # the sweep leaves the rows that just deflated alone
             hi -= deflated
             since_move = 0
+        if deflated >= NIBBLE * nw:
+            continue
         since_move += 1
         if since_move % EXCEPTIONAL_EVERY == 0:
             shifts = [h[hi, hi] + 0.75 * abs(h[hi, hi - 1])]

@@ -137,6 +137,19 @@ class TestExamples:
         res = eigenvalues([[2.5 - 1j]])
         assert res.eigenvalues == ((2.5 - 1j),)
 
+    @pytest.mark.parametrize("engine", ["qr", "numpy"])
+    def test_zero_matrix(self, monkeypatch, engine):
+        # the zero matrix is answered before either engine runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("engine called on the zero matrix")
+
+        monkeypatch.setattr(eig, "_schur", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        res = eigenvalues(np.zeros((4, 4)), engine=engine)
+        assert res.eigenvalues == (0j,) * 4
+        assert res.residuals == (0.0,) * 4
+        assert res.engine == engine
+
     def test_charpoly_companion_oracle(self, rng):
         for _ in range(10):
             m = random_complex(rng, 6)
@@ -412,6 +425,17 @@ class TestMultishift:
         assert sweep_shifts and sum(sweep_shifts) <= 400
         assert res.tolerance <= 10 * 265 * U
 
+    def test_exceptional_shift(self, rng, monkeypatch, sweep_shifts):
+        # with every second multishift sweep without a deflation at the
+        # bottom exceptional, this matrix's second sweep chases one bulge
+        # with the exceptional shift; an ordinary sweep takes at least
+        # (1 - NIBBLE) * DEFLATION_WINDOW shifts
+        monkeypatch.setattr(eig, "EXCEPTIONAL_EVERY", 2)
+        n = 120
+        res = assert_agrees_with_numpy_engine(random_complex(rng, n))
+        assert 1 in sweep_shifts
+        assert res.tolerance <= 10 * n * U
+
     def test_sweep_leaves_deflated_rows_alone(self, monkeypatch):
         # a sweep after a partial early deflation of [lo, hi] runs on
         # [lo, hi - deflated]; on this matrix the one sweep does
@@ -540,8 +564,8 @@ class TestSmallSchur:
         h0 = random_complex(rng, 2) if h0 is None \
             else np.array(h0, dtype=complex)
         t = h0.copy()
-        u, spent = eig._small_schur(t, budget=10)
-        assert spent == 1
+        u, spent, keep = eig._small_schur(t, budget=10)
+        assert (spent, keep) == (1, 0)
         assert t[1, 0] == 0
         assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 20 * U
         assert np.linalg.norm(u.T @ t @ u.conj() - h0) \
@@ -651,31 +675,64 @@ class TestWindows:
             <= 10 * n * U * np.linalg.norm(h0)
 
     def test_early_deflation_stops_at_first_kept(self, rng, monkeypatch):
-        # spike entries from the bottom: negligible, large, negligible;
-        # only the bottom eigenvalue deflates, and the rest are the shifts
+        # the window's Schur vectors do not depend on the coupling s, so s
+        # can set the spike test's threshold on r_i = |u[i, 0] / T[i, i]|
+        # between two rows: spike entries from the bottom then read
+        # negligible (the bottom row splits off at once), large, ...,
+        # negligible, large.  keep counts the rows down to the lowest large
+        # entry, so only the bottom eigenvalue deflates.
         n, nw = 12, 6
         kw = n - nw
-        tri = np.triu(random_complex(rng, nw))
-        spike = random_complex(rng, nw)[:, 0]
-        spike[-3:] = [1e-20, 0.5, 1e-20]
-        cols = np.column_stack([spike, random_complex(rng, nw)[:, 1:]])
-        u = np.linalg.qr(cols)[0]
         h0 = np.triu(random_complex(rng, n), -1)
-        h0[kw:, kw:] = u.T @ tri @ u.conj()
-        h0[kw, kw - 1] = 1.0
+        h0[-1, -2] = 1e-20
+        nibble = eig.NIBBLE
 
-        def prepared(t, budget, s=0j):
-            t[...] = tri
-            return u.copy(), 0
+        def small_schur(nibble, s):
+            monkeypatch.setattr(eig, "NIBBLE", nibble)
+            t = h0[kw:, kw:].copy()
+            return t, eig._small_schur(t, n * 40, s)
 
-        monkeypatch.setattr(eig, "_small_schur", prepared)
+        full, (u, _, _) = small_schur(1.0, 1.0)
+        r = np.abs(u[:, 0] / np.diag(full))
+        j = 1 + int(np.argmin(r[1:nw - 2]))
+        threshold = math.sqrt(r[j] * min(r[:j].max(), r[nw - 2]))
+        h0[kw, kw - 1] = s = eig.DEFLATION_TOL / threshold
+        # the walk up from the bottom over the full Schur form
+        spiky = np.abs(s * u[:, 0]) > eig.DEFLATION_TOL * np.abs(np.diag(full))
+        assert not spiky[-1] and spiky[-2] and not spiky[j] and spiky[:j].any()
+        walk = nw
+        while walk and not spiky[walk - 1]:
+            walk -= 1
+        assert walk == nw - 1
+        assert small_schur(1.0, s)[1][2] == walk
+        # the early exit decides the same count, short of the full form
+        part, (_, spent, keep) = small_schur(nibble, s)
+        assert keep == walk
+        assert np.tril(part, -1).any()
         h, qt = h0.copy(), np.eye(n, dtype=complex)
-        deflated, shifts, spent = eig._early_deflation(h, qt, 0, n - 1, nw,
-                                                       n * 40)
-        assert (deflated, spent) == (1, 0)
-        assert np.array_equal(shifts, np.diag(tri)[:-1])
-        assert h[-1, -1] == tri[-1, -1] and not h[-1, :-1].any()
+        deflated, shifts, spent_window = eig._early_deflation(
+            h, qt, 0, n - 1, nw, n * 40)
+        assert (deflated, len(shifts), spent_window) == (1, nw - 1, spent)
+        assert h[-1, -1] == full[-1, -1] and not h[-1, :-1].any()
         assert not np.tril(h, -2).any()
+        assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
+            <= 10 * n * U * np.linalg.norm(h0)
+
+    def test_top_row_alone_is_kept(self, rng):
+        # row 0 of the window splits from the rows below it, so their
+        # spike entries are exactly 0 and row 0's is s itself: keep is 1,
+        # and the coupling entry stays
+        n, nw = 12, 6
+        kw = n - nw
+        h0 = np.triu(random_complex(rng, n), -1)
+        h0[kw + 1, kw] = 0.0
+        s = h0[kw, kw - 1]
+        assert eig._small_schur(h0[kw:, kw:].copy(), n * 40, s)[2] == 1
+        h, qt = h0.copy(), np.eye(n, dtype=complex)
+        deflated, shifts, _ = eig._early_deflation(h, qt, 0, n - 1, nw,
+                                                   n * 40)
+        assert (deflated, len(shifts)) == (nw - 1, 1)
+        assert h[kw, kw - 1] == s
         assert np.linalg.norm(qt.T @ h @ qt.conj() - h0) \
             <= 10 * n * U * np.linalg.norm(h0)
 

@@ -301,8 +301,8 @@ def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
         raise ConfigError("comparisons need N >= 8")
     window = cfg.window_value()
     sym, op = build_operator(cfg)
-    spec = build_spectrum(op, spectra)
     rect, predictions = build_predictions(cfg, sym)
+    spec = build_spectrum(op, spectra)
     with _stage("compare"):
         in_window = tuple(z for z in spec.eigenvalues
                           if window[0] <= z.real <= window[1]

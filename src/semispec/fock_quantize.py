@@ -79,12 +79,11 @@ def weyl_monomial(x_op: np.ndarray, xi_op: np.ndarray, m: int, n: int):
     return (acc + (-1) ** n * acc.T) / 2.0 ** (m + 1)
 
 
-def quantize_plane(sym: PlaneSymbol, eps: float, hbar: float, N: int,
-                   extra_padding: int = 0):
+def quantize_plane(sym: PlaneSymbol, eps: float, hbar: float, N: int):
     """Build the (N+1) x (N+1) matrix of f + i*eps*q in the Fock basis.
 
-    ``extra_padding`` widens the assembly dimension beyond the default
-    N+1+deg(symbol); the retained block must not depend on it.
+    It is the leading block of the matrix assembled at dimension
+    N+1+deg(symbol), which a larger N leaves the same up to rounding.
     """
     eps = finite("eps", eps)
     N = integral("N", N)
@@ -97,7 +96,7 @@ def quantize_plane(sym: PlaneSymbol, eps: float, hbar: float, N: int,
         raise ConfigError(
             f"monomial degree above {MAX_MONOMIAL_DEGREE} is unsupported")
     deg = sym.degree
-    pad_dim = N + 1 + deg + int(extra_padding)
+    pad_dim = N + 1 + deg
     lp = ladder(pad_dim, hbar)
     x_op = lp.position()
     xi_op = lp.momentum()

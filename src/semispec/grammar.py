@@ -16,6 +16,10 @@ form q, anything else (bare i, bare epsilon, epsilon^2, ...) is
 rejected.  Circle symbols use I and cos/sin of integer multiples of
 theta; plane symbols use x and xi.  Round-tripping parse -> format ->
 parse is the identity on the coefficient maps.
+
+'(' and unary '-' nest at most MAX_NESTING (100) deep, and a power a^p
+expands to degree p * deg(a) <= MAX_DEGREE (64), a constant a counting
+as degree 1; text beyond either cap is a ConfigError.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ import re
 
 from .errors import ConfigError
 from .symbols import CircleSymbol, PlaneSymbol
+
+MAX_NESTING = 100
+MAX_DEGREE = 64
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -81,6 +88,8 @@ def _mul(a, b):
 
 
 def _pow(a, p):
+    if p * max([1, *(b + abs(m) + n for b, m, n in a)]) > MAX_DEGREE:
+        raise ConfigError(f"power ^{p} expands beyond degree {MAX_DEGREE}")
     out = _mono()
     for _ in range(p):
         out = _mul(out, a)
@@ -92,6 +101,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.model = model
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -137,7 +147,7 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take("op", "^")
             kind, val = self.take("num")
-            if val != int(val) or val < 0:
+            if not val.is_integer():
                 raise ConfigError("exponents must be non-negative integers")
             a = _pow(a, int(val))
         return a
@@ -147,14 +157,16 @@ class _Parser:
         if kind == "num":
             self.take("num")
             return _mono(c=val)
-        if kind == "op" and val == "(":
-            self.take("op", "(")
-            inner = self.expr()
-            self.take("op", ")")
-            return inner
-        if kind == "op" and val == "-":
-            self.take("op", "-")
-            return _neg(self.factor())
+        if kind == "op" and val in ("(", "-"):
+            self.take("op")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ConfigError(f"symbol nests deeper than {MAX_NESTING}")
+            out = self.expr() if val == "(" else _neg(self.factor())
+            if val == "(":
+                self.take("op", ")")
+            self.depth -= 1
+            return out
         if kind != "name":
             raise ConfigError(f"unexpected token {val!r}")
         self.take("name")
@@ -191,7 +203,7 @@ class _Parser:
         k = 1
         if kind == "num":
             self.take("num")
-            if val != int(val) or val < 1:
+            if val < 1 or not val.is_integer():
                 raise ConfigError("trig frequency must be a positive integer")
             k = int(val)
             self.take("op", "*")

@@ -266,13 +266,20 @@ class TestExitCodes:
         ["predict", *PREDICT_FIG, "--floquet-offset=nan", "--out", "{tmp}"],
         ["predict", *PREDICT_FIG, "--floquet-offset=inf", "--out", "{tmp}"],
         ["predict", *PREDICT_FIG, "--floquet-offset", "1e20", "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol",
+         "(" * 600 + "I" + ")" * 600, "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", "I*" + "-" * 2000 + "I",
+         "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", "I^10000000",
+         "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "matrix-config-missing",
             "matrix-config-unknown-key", "matrix-N-abc",
             "matrix-unused-params", "matrix-hbar-nan", "matrix-N-fraction",
             "config-missing",
             "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
-            "floquet-offset-inf", "floquet-offset-too-large"])
+            "floquet-offset-inf", "floquet-offset-too-large",
+            "symbol-nested", "symbol-minus-chain", "symbol-power"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
         (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
         (tmp_path / "no_basis.json").write_text(

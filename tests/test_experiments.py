@@ -196,6 +196,25 @@ class TestRunExperiment:
             run_experiment(cfg, write=False)
         assert exc.value.stage == "predict"
 
+    def test_rejected_prediction_costs_no_eigensolve(self, monkeypatch):
+        # the level loop of this q does not close, so the predict stage
+        # fails; it runs before the 133-row spectrum
+        solve = semispec.experiments.eigenvalues_of
+        calls = []
+
+        def counting(op, **kwargs):
+            calls.append(op.matrix_fingerprint())
+            return solve(op, **kwargs)
+
+        monkeypatch.setattr(semispec.experiments, "eigenvalues_of", counting)
+        cfg = ExperimentConfig(
+            model="circle", N=66, delta=0.5,
+            symbol="I + i*epsilon*(cos(1e20*theta) + cos(theta))")
+        with pytest.raises(PipelineError) as exc:
+            run_experiment(cfg, write=False)
+        assert exc.value.stage == "predict"
+        assert calls == []
+
     @pytest.mark.parametrize("symbol", [
         FIG5,
         "x^2 + xi^2 + i*epsilon*(x^2 + x^3)",

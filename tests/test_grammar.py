@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semispec import (CircleSymbol, ConfigError, PlaneSymbol, format_circle,
-                      format_plane, parse_circle, parse_plane, parse_symbol)
+                      format_plane, grammar, parse_circle, parse_plane,
+                      parse_symbol)
 
 FIGURE_TEXTS = [
     ("circle", "I + i*epsilon*(cos(theta) + I^2)"),
@@ -93,6 +94,47 @@ class TestRejections:
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
             parse_symbol("I", "torus")
+
+    @pytest.mark.parametrize("text", [
+        "I^1e400",                         # exponent overflows to inf
+        "cos(1e400*theta)",                # frequency overflows to inf
+    ])
+    def test_infinite_integer_is_config_error(self, text):
+        with pytest.raises(ConfigError, match="integer"):
+            parse_circle(text)
+
+
+class TestCaps:
+    """Nesting and power degree are capped, so that no text can exhaust
+    the parser's recursion or loop once per unit of a huge exponent."""
+
+    @pytest.mark.parametrize("build", [
+        lambda depth: "(" * depth + "I" + ")" * depth,
+        lambda depth: "I*" + "-" * depth + "I",
+    ], ids=["parentheses", "unary-minus"])
+    def test_nesting(self, build):
+        parse_circle(build(grammar.MAX_NESTING))
+        for depth in (grammar.MAX_NESTING + 1, 2000):
+            with pytest.raises(ConfigError, match="nests deeper"):
+                parse_circle(build(depth))
+
+    def test_siblings_do_not_add_up(self):
+        depth = grammar.MAX_NESTING
+        text = " + ".join(["(" * depth + "I" + ")" * depth] * 3)
+        assert parse_circle(text).f_coeffs == (0.0, 3.0)
+
+    @pytest.mark.parametrize("model,base,degree", [
+        ("circle", "I", 1), ("circle", "cos(2*theta)", 2),
+        ("line", "(x + xi)", 1), ("circle", "2", 0)])
+    def test_power_degree(self, model, base, degree):
+        # a constant base counts as degree 1
+        p = grammar.MAX_DEGREE // max(degree, 1)
+        f = "I" if model == "circle" else "x^2 + xi^2"
+        parse_symbol(f"{f} + i*epsilon*{base}^{p}", model)
+        # _pow multiplies once per unit of p, so 10^7 is refused before that
+        for q in (p + 1, 10**7):
+            with pytest.raises(ConfigError, match="beyond degree"):
+                parse_symbol(f"{f} + i*epsilon*{base}^{q}", model)
 
 
 coeff = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)

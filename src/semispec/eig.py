@@ -28,8 +28,14 @@ Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
   multishift path, else nw = DEFLATION_WINDOW (48).  The block goes to
   Schur form on a copy by single-shift QR sweeps (Wilkinson shift, an
   exceptional one every EXCEPTIONAL_EVERY-th sweep without a deflation
-  at the bottom), each one np.linalg.qr of the unreduced block minus the
-  shift and three products with its Q.  The Schur form turns the entry
+  at the bottom).  Each sweep takes the shift off the diagonal of a copy
+  of the unreduced block, factors it with np.linalg.qr, puts the shift
+  back on the diagonal of R Q (Hessenberg with exact zeros below its
+  subdiagonal, so nothing is cleared there) and carries Q to the rest of
+  the window and to the collected transformation by matrix products;
+  the one for rows above the block or columns to its right is skipped
+  when there are none.  A split test looks at the bottom subdiagonal
+  entry before it scans the rest.  The Schur form turns the entry
   coupling the block to the rest of the window into a spike, and the
   eigenvalues below its last non-negligible entry deflate at once.  A
   whole window has no coupling entry and deflates completely.  Each
@@ -80,13 +86,16 @@ EXCEPTIONAL_EVERY = 10
 # 504 / 348 / 404 ms and 1251 / 960 / 1047 ms at 40 / 100 / 120 (CPU
 # time, min of 7, one BLAS thread, 2-CPU host): past 100 rows the windows
 # inside dims 193 and 265 solve slower without the multishift path.
+# These timings predate the sweep that shifts on the diagonal alone and
+# skips empty products; the value was kept, not measured again.
 MULTISHIFT_MIN = 100
 # Early-deflation window of the larger windows.  figure01 and figure03
 # at N=66, the FIG1 scan at N=24..132 (eps 0.1) and random dense
 # matrices of 120, 200 and 265 rows took 195 / 205 / 167 / 186 / 169 ms,
 # 702 / 702 / 568 / 568 / 592 ms and 1453 / 1371 / 1456 / 1605 / 1842 ms
 # at 32 / 40 / 48 / 64 / 80 rows (CPU time, min of 7 interleaved rounds,
-# one BLAS thread, 2-CPU host).
+# one BLAS thread, 2-CPU host).  Like MULTISHIFT_MIN's, these timings
+# predate the present single-shift sweep; the value was kept.
 DEFLATION_WINDOW = 48
 BULGE_SPACING = 3  # the least spacing that keeps bulges independent
 NIBBLE = 0.14  # early deflation of this share of its window skips the sweep
@@ -163,10 +172,13 @@ def _apply_window(h, qt, a, b, u):
 
     The window's rows to its right take conj(u), its columns above it u^T
     (the inverse, conj(u)^H), and Q^T's rows a..b take u, each as one
-    matrix product.
+    matrix product; a product with no rows above the window or no
+    columns to its right is skipped.
     """
-    h[a:b + 1, b + 1:] = u.conj() @ h[a:b + 1, b + 1:]
-    h[:a, a:b + 1] = h[:a, a:b + 1] @ u.T
+    if b + 1 < h.shape[1]:
+        h[a:b + 1, b + 1:] = u.conj() @ h[a:b + 1, b + 1:]
+    if a:
+        h[:a, a:b + 1] = h[:a, a:b + 1] @ u.T
     qt[a:b + 1] = u @ qt[a:b + 1]
 
 
@@ -177,16 +189,23 @@ def _qr_sweep(h, u, lo, hi, mu):
     Q^T's rows take it.  The step is one Householder QR factorization of
     the window's block, whose Q^T _apply_window carries to the rest: Q^H
     on the rows to its right, Q on the columns above it and Q^T on u's
-    rows.  RQ is Hessenberg in exact arithmetic; whatever the
-    factorization leaves below its subdiagonal is set to exact zero.  A
-    Givens step differs from this one only by a diagonal unitary
-    similarity, which leaves the diagonal and every |h_ij|, and so each
-    deflation test, as they are.
+    rows.  The shift comes off the diagonal of one copy of the block and
+    goes back on the diagonal of RQ, in place.  RQ needs no clean-up below
+    its subdiagonal: the Householder vectors of a Hessenberg block are
+    exactly zero past their second entry, so Q is exactly zero below its
+    subdiagonal, and each term of an entry of RQ there has an exact zero
+    of R or of Q as a factor.  A Givens step differs from this one only by
+    a diagonal unitary similarity, which leaves the diagonal and every
+    |h_ij|, and so each deflation test, as they are.
     """
     w = slice(lo, hi + 1)
-    shift = mu * np.eye(hi - lo + 1)
-    q, r = np.linalg.qr(h[w, w] - shift)
-    h[w, w] = np.triu(r @ q, -1) + shift
+    step = hi - lo + 2  # between diagonal entries of the flattened block
+    block = h[w, w].copy()
+    block.reshape(-1)[::step] -= mu
+    q, r = np.linalg.qr(block)
+    rq = r @ q
+    rq.reshape(-1)[::step] += mu
+    h[w, w] = rq
     _apply_window(h, u, lo, hi, q.T)
 
 
@@ -269,7 +288,18 @@ def _multishift_sweep(h, qt, lo, hi, shifts):
 
 
 def _split_point(h, hi):
-    """Largest lo <= hi with H[lo, lo-1] negligible (zeroed), else 0."""
+    """Largest lo <= hi with H[lo, lo-1] negligible (zeroed), else 0.
+
+    The bottom entry H[hi, hi-1] is tested first on its own: a row that
+    converges at the bottom then deflates without a scan of the window.
+    At hi == 0 there is no such entry (H[0, -1] is the last column).
+    """
+    if hi == 0:
+        return 0
+    if abs(h[hi, hi - 1]) <= DEFLATION_TOL * (abs(h[hi - 1, hi - 1])
+                                              + abs(h[hi, hi])):
+        h[hi, hi - 1] = 0.0
+        return hi
     d = np.abs(np.diagonal(h)[:hi + 1])
     sub = np.abs(np.diagonal(h, -1)[:hi])
     hits = np.flatnonzero(sub <= DEFLATION_TOL * (d[:-1] + d[1:]))

@@ -17,13 +17,17 @@ rejected.  Circle symbols use I and cos/sin of integer multiples of
 theta; plane symbols use x and xi.  Round-tripping parse -> format ->
 parse is the identity on the coefficient maps.
 
-'(' and unary '-' nest at most MAX_NESTING (100) deep, and a power a^p
+'(' and unary '-' nest at most MAX_NESTING (100) deep, a power a^p
 expands to degree p * deg(a) <= MAX_DEGREE (64), a constant a counting
-as degree 1; text beyond either cap is a ConfigError.
+as degree 1, and a product a*b of two sums to degree
+deg(a) + deg(b) <= MAX_DEGREE; deg(a) is the largest total degree of a
+monomial of a, epsilon and the theta frequency included.  Text beyond
+any cap, or a number literal past the float range, is a ConfigError.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError
@@ -50,7 +54,11 @@ def _tokenize(text):
             raise ConfigError(f"cannot tokenize symbol text near {rest[:20]!r}")
         pos = mo.end()
         if mo.group("num") is not None:
-            tokens.append(("num", float(mo.group("num"))))
+            value = float(mo.group("num"))
+            if math.isinf(value):
+                raise ConfigError(f"number {mo.group('num')!r} is past the "
+                                  "float range")
+            tokens.append(("num", value))
         elif mo.group("name") is not None:
             tokens.append(("name", mo.group("name")))
         else:
@@ -78,7 +86,16 @@ def _neg(a):
     return {k: -v for k, v in a.items()}
 
 
+def _degree(a):
+    """Largest b + |m| + n of a monomial of a, 0 when there is none."""
+    return max((b + abs(m) + n for b, m, n in a), default=0)
+
+
 def _mul(a, b):
+    # the cap on a product of two sums bounds the monomials it can have; a
+    # product with a monomial has no more of them than the other factor
+    if min(len(a), len(b)) > 1 and _degree(a) + _degree(b) > MAX_DEGREE:
+        raise ConfigError(f"product expands beyond degree {MAX_DEGREE}")
     out = {}
     for (b1, m1, n1), c1 in a.items():
         for (b2, m2, n2), c2 in b.items():
@@ -88,7 +105,7 @@ def _mul(a, b):
 
 
 def _pow(a, p):
-    if p * max([1, *(b + abs(m) + n for b, m, n in a)]) > MAX_DEGREE:
+    if p * max(_degree(a), 1) > MAX_DEGREE:
         raise ConfigError(f"power ^{p} expands beyond degree {MAX_DEGREE}")
     out = _mono()
     for _ in range(p):

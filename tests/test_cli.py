@@ -272,6 +272,11 @@ class TestExitCodes:
          "--out", "{tmp}"],
         ["predict", "--model", "circle", "--symbol", "I^10000000",
          "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol",
+         "I + i*epsilon*" + "*".join(["(I + cos(theta))^64"] * 4),
+         "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", "1e400*I",
+         "--N", "12", "--delta", "0.5", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "matrix-config-missing",
             "matrix-config-unknown-key", "matrix-N-abc",
@@ -279,7 +284,8 @@ class TestExitCodes:
             "config-missing",
             "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
             "floquet-offset-inf", "floquet-offset-too-large",
-            "symbol-nested", "symbol-minus-chain", "symbol-power"])
+            "symbol-nested", "symbol-minus-chain", "symbol-power",
+            "symbol-product", "symbol-inf-literal"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
         (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
         (tmp_path / "no_basis.json").write_text(

@@ -552,6 +552,90 @@ class TestSweep:
         assert np.array_equal(h[np.ix_(outside, outside)],
                               h0[np.ix_(outside, outside)])
 
+    @pytest.mark.parametrize("m", [2, 3, 12, 48, 100])
+    @pytest.mark.parametrize("where", ["inner", "top", "bottom", "whole"])
+    def test_bit_identical_to_textbook_step(self, rng, m, where):
+        # the textbook step: the shift as a whole matrix, R Q cleared below
+        # its subdiagonal, and all three products carried out
+        above = 0 if where in ("top", "whole") else 5
+        right = 0 if where in ("bottom", "whole") else 6
+        lo, hi, n = above, above + m - 1, above + m + right
+        h0 = np.triu(random_complex(rng, n), -1)
+        u0 = random_complex(rng, n)
+        mu = complex(rng.standard_normal(), rng.standard_normal())
+        h, u = h0.copy(), u0.copy()
+        eig._qr_sweep(h, u, lo, hi, mu)
+        ref, ref_u = h0.copy(), u0.copy()
+        w = slice(lo, hi + 1)
+        shift = mu * np.eye(m)
+        q, r = np.linalg.qr(ref[w, w] - shift)
+        ref[w, w] = np.triu(r @ q, -1) + shift
+        ref[w, hi + 1:] = q.T.conj() @ ref[w, hi + 1:]
+        ref[:lo, w] = ref[:lo, w] @ q
+        ref_u[w] = q.T @ ref_u[w]
+        assert np.array_equal(h, ref)
+        assert np.array_equal(u, ref_u)
+
+
+def full_scan_split(h, hi):
+    """Reference split test: one vectorized scan of every subdiagonal
+    entry of [0, hi], the bottom one included."""
+    d = np.abs(np.diagonal(h)[:hi + 1])
+    sub = np.abs(np.diagonal(h, -1)[:hi])
+    hits = np.flatnonzero(sub <= eig.DEFLATION_TOL * (d[:-1] + d[1:]))
+    if hits.size == 0:
+        return 0
+    lo = int(hits[-1]) + 1
+    h[lo, lo - 1] = 0.0
+    return lo
+
+
+class TestSplitPoint:
+    """The bottom subdiagonal entry is tested before the scan."""
+
+    def test_top_row_reads_no_wrapped_entry(self, rng):
+        # at hi == 0, H[0, -1] is the last column, not a subdiagonal entry
+        h0 = np.triu(random_complex(rng, 6), -1)
+        h0[0, -1] = 1e-300
+        h = h0.copy()
+        assert eig._split_point(h, 0) == 0
+        assert np.array_equal(h, h0)
+
+    def test_negligible_bottom_entry(self, rng):
+        h0 = np.triu(random_complex(rng, 9), -1)
+        hi = 7
+        h0[hi, hi - 1] = 1e-20
+        h0[3, 2] = 1e-20  # a lower split the bottom test need not reach
+        h = h0.copy()
+        assert eig._split_point(h, hi) == hi
+        assert h[hi, hi - 1] == 0
+        h[hi, hi - 1] = h0[hi, hi - 1]
+        assert np.array_equal(h, h0)
+
+    def test_bottom_entry_at_the_tolerance(self):
+        # |h_k,k-1| == 1e-14 * (|h_k-1,k-1| + |h_kk|) exactly deflates
+        h = np.array([[1, 5], [2 * eig.DEFLATION_TOL, 1]], dtype=complex)
+        assert eig._split_point(h.copy(), 1) == 1
+        h[1, 0] = np.nextafter(h[1, 0].real, 1.0)
+        assert eig._split_point(h.copy(), 1) == 0
+
+    def test_matches_full_scan(self, rng):
+        n = 30
+        for _ in range(200):
+            h0 = np.triu(random_complex(rng, n), -1)
+            # plant exact zeros, negligible entries and ones twice the
+            # tolerance (an entry within an ulp of it can read either way:
+            # scalar and vectorized |z| may differ in the last bit)
+            for k in rng.choice(np.arange(1, n), size=rng.integers(0, 4),
+                                replace=False):
+                tol = eig.DEFLATION_TOL * (abs(h0[k - 1, k - 1])
+                                           + abs(h0[k, k]))
+                h0[k, k - 1] = rng.choice([0.0, 0.5 * tol, 2.0 * tol])
+            hi = int(rng.integers(0, n))
+            h, ref = h0.copy(), h0.copy()
+            assert eig._split_point(h, hi) == full_scan_split(ref, hi)
+            assert np.array_equal(h, ref)
+
 
 class TestSmallSchur:
     """A 2 x 2 window takes one Wilkinson sweep like any other."""

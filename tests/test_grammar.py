@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,15 +100,22 @@ class TestRejections:
     @pytest.mark.parametrize("text", [
         "I^1e400",                         # exponent overflows to inf
         "cos(1e400*theta)",                # frequency overflows to inf
+        "1e400*I",                         # coefficient overflows to inf
+        "I + i*epsilon*2e308*cos(theta)",  # q coefficient overflows to inf
     ])
     def test_infinite_integer_is_config_error(self, text):
-        with pytest.raises(ConfigError, match="integer"):
+        # the literal itself is refused, before it is read as a number
+        with pytest.raises(ConfigError, match="float range"):
             parse_circle(text)
+
+    def test_largest_float_literal_parses(self):
+        assert parse_circle("1.7e308*I").f_coeffs == (0.0, 1.7e308)
 
 
 class TestCaps:
-    """Nesting and power degree are capped, so that no text can exhaust
-    the parser's recursion or loop once per unit of a huge exponent."""
+    """Nesting, power degree and product degree are capped, so that no
+    text can exhaust the parser's recursion, loop once per unit of a huge
+    exponent or multiply out a product of long expansions."""
 
     @pytest.mark.parametrize("build", [
         lambda depth: "(" * depth + "I" + ")" * depth,
@@ -135,6 +144,36 @@ class TestCaps:
         for q in (p + 1, 10**7):
             with pytest.raises(ConfigError, match="beyond degree"):
                 parse_symbol(f"{f} + i*epsilon*{base}^{q}", model)
+
+    @pytest.mark.parametrize("model,f,q", [
+        ("circle", "I", "(1 + cos(theta))^{}*(1 + I)^32"),
+        ("circle", "I", "(I + sin(theta))^{}*(1 + I)^32"),
+        ("line", "x^2 + xi^2", "(x + xi)^{}*(1 + x)^32"),
+    ])
+    def test_product_degree(self, model, f, q):
+        # i*epsilon adds 1 to the degree of the product of the two sums
+        p = grammar.MAX_DEGREE - 32 - 1
+        parse_symbol(f"{f} + i*epsilon*{q.format(p)}", model)
+        with pytest.raises(ConfigError, match="product expands beyond"):
+            parse_symbol(f"{f} + i*epsilon*{q.format(p + 1)}", model)
+
+    @pytest.mark.parametrize("text", [
+        "I + i*epsilon*I^64",
+        "I^40*I^40 + i*epsilon*cos(theta)",
+        "I + i*epsilon*cos(100*theta)",
+        "I + i*epsilon*(cos(theta) + I^2)*I^64",
+    ])
+    def test_monomial_factor_is_not_capped(self, text):
+        # a product with one monomial has no more monomials than the other
+        parse_circle(text)
+
+    def test_long_product_fails_fast(self):
+        # 93 characters; multiplied out it took tens of seconds
+        text = "I + i*epsilon*" + "*".join(["(I + cos(theta))^64"] * 4)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="product expands beyond"):
+            parse_circle(text)
+        assert time.perf_counter() - start < 1.0
 
 
 coeff = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)

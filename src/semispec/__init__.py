@@ -19,8 +19,8 @@ from .experiments import (ComparisonReport, ExperimentConfig,
                           ExperimentResult, PTReport, pt_verify,
                           reproduce_figures, run_experiment)
 from .fock_quantize import LadderPair, ladder, quantize_plane, weyl_monomial
-from .grammar import (format_circle, format_plane, format_symbol,
-                      parse_circle, parse_plane, parse_symbol)
+from .grammar import (format_circle, format_plane, parse_circle, parse_plane,
+                      parse_symbol)
 from .operators import Basis, TruncatedOperator
 from .symbols import (CircleSymbol, PlaneSymbol, eval_circle, eval_plane,
                       pt_symmetry_check, theta_average)
@@ -35,7 +35,7 @@ __all__ = [
     "QuantizationPrediction", "Rectangle", "SemispecError",
     "SolverError", "SpectrumResult", "TruncatedOperator", "TruncationError",
     "eigenvalues", "eigenvalues_of", "eval_circle",
-    "eval_plane", "format_circle", "format_plane", "format_symbol",
+    "eval_plane", "format_circle", "format_plane",
     "ladder", "pair_spectra", "parse_circle",
     "parse_plane", "parse_symbol", "predict_spectrum", "pt_symmetry_check",
     "pt_verify", "quantize_circle", "quantize_plane", "reproduce_figures",

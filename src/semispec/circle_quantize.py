@@ -36,7 +36,8 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
             raise TruncationError(
                 "degenerate truncation: N = 0 cannot hold any theta-coupling")
         raise ConfigError("N must be >= 1")
-    dim = 2 * N + 1
+    basis = Basis(kind="fourier", N=N)
+    dim = basis.dimension
     ls = np.arange(-N, N + 1)
     mat = np.zeros((dim, dim), dtype=complex)
     diag = np.asarray(sym.f_value((hbar * ls).astype(complex)))
@@ -50,6 +51,6 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
         mat[l + m + N, l + N] += vals
     return TruncatedOperator(
         matrix=mat,
-        basis=Basis(kind="fourier", N=N),
+        basis=basis,
         hbar=hbar,
     )

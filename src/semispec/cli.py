@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 config error (also for a malformed value from
 a flag or the file, and for a --config or --matrix file that is
 missing, unreadable or malformed, for an --out that cannot be written,
 and for a run parameter other than out given to spectrum --matrix), 3
-numeric failure (the failing stage is named on stderr).  Every
-subcommand runs the stage functions of semispec.experiments and writes
+numeric failure (the failing stage is named on stderr).  Without --out,
+quantize, spectrum, predict and pt-verify write into the current
+directory; compare and reproduce-figures need it.  Every subcommand runs the stage functions of semispec.experiments and writes
 through its write_files.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .action import Rectangle
@@ -235,11 +237,14 @@ def _cmd_reproduce_figures(args):
 
 
 def _cmd_pt_verify(args):
+    # like predict, it writes under the current directory without --out
     cfg = _experiment_config(args)
+    cfg = replace(cfg, out=cfg.out or ".")
     report = pt_verify(cfg)
     print(f"symbol_symmetric={report.symbol_symmetric} "
           f"conjugation_defect={report.conjugation_defect:.3e} "
           f"max|Im| in window={report.max_abs_imag_in_window:.3e}")
+    print(f"wrote {Path(cfg.out) / 'pt_report.json'}")
     return 0
 
 

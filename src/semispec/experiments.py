@@ -258,7 +258,6 @@ class ComparisonReport:
     mode: str
     pairs: tuple
     summary: PairingSummary
-    provenance: dict
 
     def to_json_dict(self):
         return {
@@ -307,15 +306,13 @@ def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
         in_window = tuple(z for z in spec.eigenvalues
                           if window[0] <= z.real <= window[1]
                           and rect.contains(z))
-        prov = _provenance(cfg)
         reports = {}
         for mode, pred in predictions.items():
             pairs = pair_spectra(in_window, pred.points)
             summary = summarize_pairs(pairs, pred.points, in_window)
             reports[mode] = ComparisonReport(rule=pred.rule, mode=mode,
                                              pairs=tuple(pairs),
-                                             summary=summary,
-                                             provenance=prov)
+                                             summary=summary)
         pt = pt_checks(sym, op) if cfg.model == "line" else None
     result = ExperimentResult(config=cfg, rect=rect, spectrum=spec,
                               in_window=in_window, predictions=predictions,
@@ -341,7 +338,7 @@ def result_report_dict(result: ExperimentResult):
             "rule": prediction_rule(cfg),
             "floquet_offset": cfg.floquet_offset,
         },
-        "provenance": result.principal_report.provenance,
+        "provenance": _provenance(cfg),
         "pt": result.pt,
         "comparisons": {mode: rep.to_json_dict()
                         for mode, rep in result.reports.items()},

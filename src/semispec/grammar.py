@@ -21,7 +21,10 @@ parse is the identity on the coefficient maps.
 expands to degree p * deg(a) <= MAX_DEGREE (64), a constant a counting
 as degree 1, and a product a*b of two sums to degree
 deg(a) + deg(b) <= MAX_DEGREE; deg(a) is the largest total degree of a
-monomial of a, epsilon and the theta frequency included.  Text beyond
+monomial of a, epsilon and the theta frequency included.  A parse
+multiplies at most MAX_PAIRS (500,000) monomial pairs in all, summed over
+every product and every step of a power, which bounds its time (about
+0.35 s on a 2-CPU host) however the products are chained or summed.  Text beyond
 any cap, or a number literal past the float range, is a ConfigError.
 """
 
@@ -35,6 +38,7 @@ from .symbols import CircleSymbol, PlaneSymbol
 
 MAX_NESTING = 100
 MAX_DEGREE = 64
+MAX_PAIRS = 5 * 10**5
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -91,34 +95,37 @@ def _degree(a):
     return max((b + abs(m) + n for b, m, n in a), default=0)
 
 
-def _mul(a, b):
-    # the cap on a product of two sums bounds the monomials it can have; a
-    # product with a monomial has no more of them than the other factor
-    if min(len(a), len(b)) > 1 and _degree(a) + _degree(b) > MAX_DEGREE:
-        raise ConfigError(f"product expands beyond degree {MAX_DEGREE}")
-    out = {}
-    for (b1, m1, n1), c1 in a.items():
-        for (b2, m2, n2), c2 in b.items():
-            k = (b1 + b2, m1 + m2, n1 + n2)
-            out[k] = out.get(k, 0.0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _pow(a, p):
-    if p * max(_degree(a), 1) > MAX_DEGREE:
-        raise ConfigError(f"power ^{p} expands beyond degree {MAX_DEGREE}")
-    out = _mono()
-    for _ in range(p):
-        out = _mul(out, a)
-    return out
-
-
 class _Parser:
     def __init__(self, text, model):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.model = model
         self.depth = 0
+        self.pairs = 0  # monomial pairs multiplied so far, powers included
+
+    def mul(self, a, b):
+        # the cap on a product of two sums bounds the monomials it can have; a
+        # product with a monomial has no more of them than the other factor
+        if min(len(a), len(b)) > 1 and _degree(a) + _degree(b) > MAX_DEGREE:
+            raise ConfigError(f"product expands beyond degree {MAX_DEGREE}")
+        self.pairs += len(a) * len(b)
+        if self.pairs > MAX_PAIRS:
+            raise ConfigError(f"symbol multiplies out more than {MAX_PAIRS} "
+                              "monomial pairs")
+        out = {}
+        for (b1, m1, n1), c1 in a.items():
+            for (b2, m2, n2), c2 in b.items():
+                k = (b1 + b2, m1 + m2, n1 + n2)
+                out[k] = out.get(k, 0.0) + c1 * c2
+        return {k: v for k, v in out.items() if v != 0}
+
+    def pow(self, a, p):
+        if p * max(_degree(a), 1) > MAX_DEGREE:
+            raise ConfigError(f"power ^{p} expands beyond degree {MAX_DEGREE}")
+        out = _mono()
+        for _ in range(p):
+            out = self.mul(out, a)
+        return out
 
     def peek(self):
         return self.tokens[self.pos]
@@ -156,7 +163,7 @@ class _Parser:
         acc = self.factor()
         while self.peek() == ("op", "*"):
             self.take("op", "*")
-            acc = _mul(acc, self.factor())
+            acc = self.mul(acc, self.factor())
         return acc
 
     def factor(self):
@@ -166,7 +173,7 @@ class _Parser:
             kind, val = self.take("num")
             if not val.is_integer():
                 raise ConfigError("exponents must be non-negative integers")
-            a = _pow(a, int(val))
+            a = self.pow(a, int(val))
         return a
 
     def atom(self):
@@ -280,7 +287,9 @@ def parse_plane(text):
             raise ConfigError("plane symbol: q must have real monomial "
                               f"coefficients (term at {(m, n)})")
         q_real[(m, n)] = c.real
-    return PlaneSymbol(f_coeffs=f, q_coeffs=q_real)
+    if {k: c for k, c in f.items() if c != 0} != PlaneSymbol.f_coeffs:
+        raise ConfigError("f must be exactly x^2 + xi^2 on the plane")
+    return PlaneSymbol(q_coeffs=q_real)
 
 
 def parse_symbol(text, model):
@@ -363,11 +372,3 @@ def format_plane(sym: PlaneSymbol):
     if not sym.q_coeffs:
         return f_str
     return f"{f_str} + i*epsilon*({_format_poly_xy(dict(sym.q_coeffs))})"
-
-
-def format_symbol(sym):
-    if isinstance(sym, CircleSymbol):
-        return format_circle(sym)
-    if isinstance(sym, PlaneSymbol):
-        return format_plane(sym)
-    raise TypeError(f"not a symbol: {sym!r}")

@@ -25,6 +25,12 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
+# Largest matrix dimension a Basis admits: circle N <= 1024, Fock N <= 2048.
+# A dense complex matrix of this size takes 67 MB, and the O(n^3) QR on it
+# about 3 minutes, extrapolated from 0.37 s at dimension 265 on a 2-CPU
+# host: the largest matrix one run can still hold and solve in minutes.
+MAX_DIMENSION = 2049
+
 
 def positive_hbar(hbar):
     """hbar as a float; ConfigError unless it is finite and positive."""
@@ -70,6 +76,9 @@ class Basis:
             raise ConfigError(f"unknown basis kind {self.kind!r}")
         object.__setattr__(self, "N", integral("N", self.N))
         object.__setattr__(self, "padding", integral("padding", self.padding))
+        if self.dimension > MAX_DIMENSION:
+            raise ConfigError(f"{self.kind} basis at N = {self.N} has dimension "
+                              f"{self.dimension}, above {MAX_DIMENSION}")
 
     @property
     def dimension(self):
@@ -122,8 +131,12 @@ class TruncatedOperator:
 
     @classmethod
     def from_json_dict(cls, d):
+        basis = Basis(kind=d["basis"], N=d["N"], padding=d.get("padding", 0))
         rows = d["rows"]
         dim = len(rows)
+        if dim != basis.dimension:
+            raise ConfigError(f"operator has {dim} rows, its basis dimension "
+                              f"is {basis.dimension}")
         m = np.empty((dim, dim), dtype=complex)
         for i, row in enumerate(rows):
             flat = np.asarray(row, dtype=float)
@@ -131,7 +144,6 @@ class TruncatedOperator:
                 raise ConfigError(f"row {i} has {flat.size} numbers, "
                                   f"expected {2 * dim}")
             m[i] = flat[0::2] + 1j * flat[1::2]
-        basis = Basis(kind=d["basis"], N=d["N"], padding=d.get("padding", 0))
         return cls(matrix=m, basis=basis, hbar=d["hbar"])
 
     @classmethod

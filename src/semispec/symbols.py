@@ -105,28 +105,24 @@ class CircleSymbol:
 
 @dataclass(frozen=True)
 class PlaneSymbol:
-    """Symbol f(x, xi) + i*eps*q(x, xi) on the plane.
+    """Symbol x^2 + xi^2 + i*eps*q(x, xi) on the plane.
 
-    Coefficient maps (m, n) -> real coefficient of x**m xi**n.  For this
-    toolkit f is pinned to the harmonic oscillator x^2 + xi^2 exactly,
-    which is what makes the explicit action-angle chart available.
+    ``q_coeffs`` maps (m, n) -> real coefficient of x**m xi**n.  For this
+    toolkit f is the harmonic oscillator x^2 + xi^2, the class constant
+    ``f_coeffs`` in the same form, which is what makes the explicit
+    action-angle chart available.
     """
 
-    f_coeffs: Mapping[tuple[int, int], float]
+    f_coeffs = MappingProxyType({(2, 0): 1.0, (0, 2): 1.0})
     q_coeffs: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        f = {(int(m), int(n)): float(c) for (m, n), c in self.f_coeffs.items()
-             if c != 0}
         q = {(int(m), int(n)): float(c) for (m, n), c in self.q_coeffs.items()
              if c != 0}
-        for c in list(f.values()) + list(q.values()):
+        for c in q.values():
             _require_finite(c)
-        if f != {(2, 0): 1.0, (0, 2): 1.0}:
-            raise ConfigError("f must be exactly x^2 + xi^2 on the plane")
         if any(m < 0 or n < 0 for m, n in q):
             raise ConfigError("negative powers are not in the symbol class")
-        object.__setattr__(self, "f_coeffs", MappingProxyType(f))
         object.__setattr__(self, "q_coeffs", MappingProxyType(q))
 
     @property
@@ -219,11 +215,10 @@ def theta_average(sym: CircleSymbol):
 
 
 def pt_symmetry_check(sym: PlaneSymbol):
-    """True iff conj(p(-x, xi)) == p(x, xi) identically: f even in x and
-    q odd in x, as a predicate on the coefficient maps."""
-    f_even = all(m % 2 == 0 for (m, n) in sym.f_coeffs)
-    q_odd = all(m % 2 == 1 for (m, n) in sym.q_coeffs)
-    return f_even and q_odd
+    """True iff conj(p(-x, xi)) == p(x, xi) identically.  The oscillator
+    f is even in x, so this is q odd in x, as a predicate on q's
+    coefficient map."""
+    return all(m % 2 == 1 for (m, n) in sym.q_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +278,7 @@ class _CircleCylinderMap(_CylinderMapBase):
     def __init__(self, sym, eps):
         self.sym = sym
         self.eps = eps
-        self.f_action_coeffs = sym.f_coeffs if sym.f_coeffs else (0.0,)
+        self.f_action_coeffs = sym.f_coeffs
         self.q_average = theta_average(sym)
         self.degree = max([len(sym.f_coeffs) - 1]
                           + [n for _, n in sym.q_terms])

@@ -3,7 +3,7 @@ import pytest
 
 from semispec import (ActionMap, CircleSymbol, ConfigError, CriticalLevelError,
                       DomainError, ExperimentConfig, InversionError,
-                      PlaneSymbol, Rectangle, action, parse_circle,
+                      LevelSetError, PlaneSymbol, Rectangle, action, parse_circle,
                       predict_spectrum)
 from semispec.action import DEFAULT_NODES, _nodes
 from semispec.experiments import (FIGURE_SYMBOLS, build_action_map,
@@ -18,8 +18,7 @@ def circle_map(f_coeffs, q_terms, eps):
 
 
 def oscillator_map(q_coeffs, eps):
-    return ActionMap(PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0},
-                                 q_coeffs=q_coeffs).cylinder_map(eps))
+    return ActionMap(PlaneSymbol(q_coeffs=q_coeffs).cylinder_map(eps))
 
 
 def fig1_map(eps):
@@ -204,6 +203,15 @@ class TestGridSolve:
                                     DEFAULT_NODES)
         assert np.array_equal(levels[:, 1], chain[:, 0])
         assert np.abs(levels[:, [0, 2]] - start[:, [0, 2]]).max() <= 1e-12
+
+    def test_continuation_that_does_not_converge(self, monkeypatch,
+                                                 fallbacks):
+        # one Newton step solves no node: the grid solve hands the energy
+        # to continuation, whose first node then fails
+        monkeypatch.setattr(action, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(LevelSetError, match="did not converge in 1 "):
+            fig1_map(0.1).solve_level_set(0.45 + 0.02j)
+        assert len(fallbacks) == 1
 
     def test_single_inversion_matches_batch(self):
         am = fig1_map(0.12)

@@ -277,6 +277,36 @@ class TestExitCodes:
          "--out", "{tmp}"],
         ["predict", "--model", "circle", "--symbol", "1e400*I",
          "--N", "12", "--delta", "0.5", "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol",
+         "*".join(["(1 + epsilon + I + cos(theta))^32"] * 2), "--out", "{tmp}"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
+         "--rect", "1,2,3", "--out", "{tmp}"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
+         "--maslov", "maybe", "--out", "{tmp}"],
+        ["compare", "--config", "{tmp}/no_equals.cfg", "--out", "{tmp}"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12"],
+        ["reproduce-figures", "--N", "10"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "0",
+         "--out", "{tmp}"],
+        ["compare", "--model", "circle", "--symbol", "I", "--N", "12",
+         "--window=0.1,0.1", "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", "I $ 2", "--N", "12",
+         "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol",
+         "I + i*epsilon*cos(0*theta)", "--N", "12", "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol",
+         "I + i*epsilon*cos(1.5*theta)", "--N", "12", "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", "I + cos(theta)",
+         "--N", "12", "--out", "{tmp}"],
+        ["predict", "--model", "line", "--symbol",
+         "x^2 + xi^2 + i*epsilon*(i*x)", "--N", "12", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/torus.json", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/short_row.json", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/N_past_cap.json", "--out", "{tmp}"],
+        ["quantize", "--model", "circle", "--symbol", "I", "--N", "100000",
+         "--out", "{tmp}"],
+        ["pt-verify", "--model", "line", "--symbol", FIG5, "--N", "100000",
+         "--delta", "0.5", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "matrix-config-missing",
             "matrix-config-unknown-key", "matrix-N-abc",
@@ -285,7 +315,13 @@ class TestExitCodes:
             "hbar-nan", "hbar-inf", "rect-inf", "floquet-offset-nan",
             "floquet-offset-inf", "floquet-offset-too-large",
             "symbol-nested", "symbol-minus-chain", "symbol-power",
-            "symbol-product", "symbol-inf-literal"])
+            "symbol-product", "symbol-inf-literal", "symbol-pairs",
+            "rect-three", "maslov-maybe", "config-no-equals",
+            "compare-no-out", "reproduce-figures-no-out", "N-zero",
+            "window-empty", "symbol-token", "symbol-cos-zero",
+            "symbol-cos-fraction", "symbol-f-theta", "symbol-complex-q",
+            "matrix-basis-torus", "matrix-row-length", "matrix-N-past-cap",
+            "quantize-N-past-cap", "pt-verify-N-past-cap"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
         (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
         (tmp_path / "no_basis.json").write_text(
@@ -300,6 +336,15 @@ class TestExitCodes:
         (tmp_path / "N_fraction.json").write_text(
             '{"basis": "fock", "N": 1.7, "hbar": 1.0, '
             '"rows": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]}\n')
+        (tmp_path / "no_equals.cfg").write_text("model circle\n")
+        (tmp_path / "torus.json").write_text(
+            '{"basis": "torus", "N": 0, "hbar": 1.0, "rows": [[1.0, 0.0]]}\n')
+        (tmp_path / "short_row.json").write_text(
+            '{"basis": "fock", "N": 1, "hbar": 1.0, '
+            '"rows": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0]]}\n')
+        (tmp_path / "N_past_cap.json").write_text(
+            '{"basis": "fock", "N": 100000, "hbar": 1.0, '
+            '"rows": [[1.0, 0.0]]}\n')
         code = run([a.format(tmp=tmp_path) for a in argv])
         assert code == 2
         assert "config error" in capsys.readouterr().err
@@ -314,6 +359,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numeric failure" in err
         assert "stage=predict" in err
+
+    def test_degenerate_action_map_is_3(self, tmp_path, capsys):
+        # N = 1 with delta = 0.5 gives eps = 1, where the principal action
+        # map of FIG1 is not invertible
+        with pytest.warns(UserWarning, match="perturbative regime"):
+            code = run(["predict", "--model", "circle", "--symbol", FIG1,
+                        "--N", "1", "--delta", "0.5", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "stage=predict" in err
+        assert "degenerate" in err
 
     def test_fourier_index_beyond_int64(self, tmp_path, capsys):
         # cos(1e20*theta) couples no two indices of [-12, 12]: the matrix
@@ -381,6 +437,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "symbol_symmetric=True" in out
         assert (tmp_path / "pt_report.json").exists()
+
+    def test_pt_verify_without_out_writes_here(self, tmp_path, monkeypatch,
+                                               capsys):
+        # like predict, pt-verify writes under the current directory
+        monkeypatch.chdir(tmp_path)
+        argv = ["--model", "line", "--symbol", "x^2 + xi^2 + i*epsilon*x^3",
+                "--N", "12", "--delta", "0.5"]
+        assert run(["pt-verify", *argv]) == 0
+        assert "wrote pt_report.json" in capsys.readouterr().out
+        here = json.loads((tmp_path / "pt_report.json").read_text())
+        assert run(["pt-verify", *argv, "--out", str(tmp_path / "o")]) == 0
+        there = json.loads((tmp_path / "o" / "pt_report.json").read_text())
+        # out is not part of the config text, so the hash is the same
+        assert here == there
 
 
 class TestReproduceFiguresCLI:

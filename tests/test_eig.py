@@ -326,7 +326,7 @@ class TestScale:
 
 class TestOperatorEntry:
     def test_truncated_operator_spectrum(self):
-        sym = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs={})
+        sym = PlaneSymbol(q_coeffs={})
         op = quantize_plane(sym, 0.0, 0.25, 8)
         res = eigenvalues_of(op)
         expected = 0.25 * (2 * np.arange(9) + 1)

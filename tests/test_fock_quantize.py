@@ -10,7 +10,7 @@ from semispec.experiments import (FIGURE_SYMBOLS, ExperimentConfig,
 
 
 def plane(q_coeffs):
-    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs=q_coeffs)
+    return PlaneSymbol(q_coeffs=q_coeffs)
 
 
 def parity_matrix(dim):

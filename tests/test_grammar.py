@@ -113,9 +113,10 @@ class TestRejections:
 
 
 class TestCaps:
-    """Nesting, power degree and product degree are capped, so that no
-    text can exhaust the parser's recursion, loop once per unit of a huge
-    exponent or multiply out a product of long expansions."""
+    """Nesting, power degree, product degree and the monomial pairs a
+    parse multiplies are capped, so that no text can exhaust the parser's
+    recursion, loop once per unit of a huge exponent or multiply out long
+    expansions, alone or added up."""
 
     @pytest.mark.parametrize("build", [
         lambda depth: "(" * depth + "I" + ")" * depth,
@@ -175,6 +176,28 @@ class TestCaps:
             parse_circle(text)
         assert time.perf_counter() - start < 1.0
 
+    def test_pair_budget_stops_a_squared_power(self):
+        # 67 characters; multiplied out it took 157 million pairs, ~100 s
+        text = "*".join(["(1 + epsilon + I + cos(theta))^32"] * 2)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="monomial pairs"):
+            parse_circle(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_pair_budget_counts_a_sum_of_powers(self):
+        # each power is within every degree cap; the eight add up
+        text = ("I + i*epsilon*("
+                + " + ".join(["(I + cos(theta))^64"] * 8) + ")")
+        with pytest.raises(ConfigError, match="monomial pairs"):
+            parse_circle(text)
+
+    def test_pair_budget_admits_the_largest_powers(self):
+        # 139,426 and 493,680 pairs: under the budget, so the parse ends
+        # normally or at the f + i*epsilon*q shape check
+        parse_circle("I + i*epsilon*(I + cos(theta))^64")
+        with pytest.raises(ConfigError, match="epsilon appears with power"):
+            parse_circle("(1 + epsilon + I + cos(theta))^32")
+
 
 coeff = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
@@ -202,7 +225,7 @@ def plane_symbols(draw):
         c = draw(coeff)
         if c:
             q[mn] = c
-    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs=q)
+    return PlaneSymbol(q_coeffs=q)
 
 
 class TestRoundTrip:

@@ -7,10 +7,10 @@ import pytest
 from semispec import (ActionMap, Basis, CircleSymbol, ConfigError,
                       ExperimentConfig, PlaneSymbol, Rectangle,
                       TruncatedOperator, ladder, predict_spectrum,
-                      quantize_circle, quantize_plane)
+                      operators, quantize_circle, quantize_plane)
 
 CIRCLE = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={(1, 0): 0.5, (-1, 0): 0.5})
-PLANE = PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs={(3, 0): 1.0})
+PLANE = PlaneSymbol(q_coeffs={(3, 0): 1.0})
 
 # Every entry point that takes hbar, called with a given hbar.
 HBAR_ENTRY_POINTS = {
@@ -89,3 +89,43 @@ def test_non_integral_N_is_config_error(quantize):
     sym = CIRCLE if quantize is quantize_circle else PLANE
     with pytest.raises(ConfigError, match="N must be an integer"):
         quantize(sym, 0.1, 0.25, 2.5)
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("allocated a matrix past the dimension cap")
+
+
+@pytest.mark.parametrize("kind,N", [("fourier", 1024), ("fock", 2048)])
+def test_basis_dimension_cap(kind, N):
+    # at the cap the basis is admitted, one N past it refused
+    assert Basis(kind=kind, N=N).dimension == operators.MAX_DIMENSION
+    with pytest.raises(ConfigError, match="above 2049"):
+        Basis(kind=kind, N=N + 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quantize_circle(CIRCLE, 0.1, 0.25, 1025),
+    lambda: quantize_plane(PLANE, 0.1, 0.25, 2049),
+    lambda: TruncatedOperator.from_json(_operator_json(N=2049)),
+], ids=["quantize_circle", "quantize_plane", "from_json"])
+def test_dimension_cap_before_allocation(monkeypatch, build):
+    # the capped matrix is never built: any allocation fails the test
+    for name in ("zeros", "empty", "eye"):
+        monkeypatch.setattr(np, name, _no_allocation)
+    with pytest.raises(ConfigError, match="above 2049"):
+        build()
+
+
+def test_json_row_count_checked_before_allocation(monkeypatch):
+    # 2 rows for a basis of dimension 3 are refused before np.empty
+    monkeypatch.setattr(np, "empty", _no_allocation)
+    with pytest.raises(ConfigError, match="2 rows, its basis dimension is 3"):
+        TruncatedOperator.from_json(_operator_json(N=2))
+
+
+@pytest.mark.parametrize("matrix,N", [(np.zeros((2, 3)), 1), (np.eye(3), 1)],
+                         ids=["non-square", "dimension-mismatch"])
+def test_operator_shape_is_config_error(matrix, N):
+    with pytest.raises(ConfigError, match="must be square|does not match"):
+        TruncatedOperator(matrix=matrix, basis=Basis(kind="fock", N=N),
+                          hbar=1.0)

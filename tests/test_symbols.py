@@ -19,7 +19,7 @@ def fig1_circle():
 
 
 def plane(q_coeffs):
-    return PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 1.0}, q_coeffs=q_coeffs)
+    return PlaneSymbol(q_coeffs=q_coeffs)
 
 
 class TestEvalCircle:
@@ -287,10 +287,20 @@ class TestValidation:
         assert sym.q_terms[(1, 0)] == sym.q_terms[(-1, 0)].conjugate()
 
     def test_plane_f_pinned(self):
-        with pytest.raises(ConfigError):
-            PlaneSymbol(f_coeffs={(2, 0): 1.0}, q_coeffs={})
-        with pytest.raises(ConfigError):
-            PlaneSymbol(f_coeffs={(2, 0): 1.0, (0, 2): 2.0}, q_coeffs={})
+        for text in ("x^2 + i*epsilon*x", "x^2 + 2*xi^2 + i*epsilon*x"):
+            with pytest.raises(ConfigError, match="exactly x\\^2 \\+ xi\\^2"):
+                parse_symbol(text, "line")
+        # a zero term left by the f/q split is dropped before the comparison
+        assert parse_symbol("x^2 + xi^2 + 1e-15*i", "line").q_coeffs == {}
+
+    @pytest.mark.parametrize("build", [
+        lambda: CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={(0, -1): 1.0}),
+        lambda: PlaneSymbol(q_coeffs={(-1, 0): 1.0}),
+        lambda: PlaneSymbol(q_coeffs={(1, -2): 1.0}),
+    ], ids=["circle", "plane-x", "plane-xi"])
+    def test_negative_powers_rejected(self, build):
+        with pytest.raises(ConfigError, match="negative"):
+            build()
 
     def test_f_trailing_zeros_trimmed(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0, 0.0), q_terms={})

@@ -13,8 +13,7 @@ from .eig import SpectrumResult, eigenvalues, eigenvalues_of
 from .errors import (BranchCutError, ConfigError, CriticalLevelError,
                      DegeneracyError, DomainError, InversionError,
                      LevelSetError, NumericError, NumericRangeError,
-                     PipelineError, SemispecError, SolverError,
-                     TruncationError)
+                     PipelineError, SemispecError, SolverError)
 from .experiments import (ComparisonReport, ExperimentConfig,
                           ExperimentResult, PTReport, pt_verify,
                           reproduce_figures, run_experiment)
@@ -33,7 +32,7 @@ __all__ = [
     "MatchedPair", "NumericError", "NumericRangeError", "PTReport",
     "PairingSummary", "PipelineError", "PlaneSymbol",
     "QuantizationPrediction", "Rectangle", "SemispecError",
-    "SolverError", "SpectrumResult", "TruncatedOperator", "TruncationError",
+    "SolverError", "SpectrumResult", "TruncatedOperator",
     "eigenvalues", "eigenvalues_of", "eval_circle",
     "eval_plane", "format_circle", "format_plane",
     "ladder", "pair_spectra", "parse_circle",

@@ -78,6 +78,12 @@ DERIVATIVE_FLOOR = 1e-10
 LOOP_CLOSURE_TOL = 1e-10
 INVERSION_TOL = 1e-11
 GRID_CELLS = 4096  # nodes x targets per inversion block: bounds memory
+# Most quantum numbers one predict_spectrum call spans.  A predict run at
+# the budget takes about 5 s on a 2-CPU host (figure01's symbol at
+# N = 62,000: 99,201 points per mode), while the largest matrices a Basis
+# admits (circle N = 1024, Fock N = 2048) span about 1,640 at hbar = 1/N,
+# so the budget never binds on a run that also solves its matrix.
+MAX_TARGETS = 10 ** 5
 
 
 def floquet_offset_value(offset):
@@ -406,7 +412,8 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
     inverts the action map by Newton; "averaged_first_order" uses the
     closed-form first-order shift instead.  The Floquet offset J moves
     the quantized action to hbar*k - J (default 0); floquet_offset_value
-    checks it.
+    checks it.  A rect whose actions span more than MAX_TARGETS quantum
+    numbers raises ConfigError before anything is allocated.
     """
     if rule not in ("circle_k", "line_maslov"):
         raise ConfigError(f"unknown rule {rule!r}")
@@ -418,8 +425,15 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
 
     i_bounds = sorted((am.cyl.seed_action(rect.re_min),
                        am.cyl.seed_action(rect.re_max)))
-    k_min = math.floor((i_bounds[0] + j_off) / hbar - half) - 3
-    k_max = math.ceil((i_bounds[1] + j_off) / hbar - half) + 3
+    k_lo = (i_bounds[0] + j_off) / hbar - half
+    k_hi = (i_bounds[1] + j_off) / hbar - half
+    # "not <=" also refuses inf and NaN, which math.floor cannot take
+    if not k_hi - k_lo <= MAX_TARGETS:
+        raise ConfigError(
+            f"the rect spans {k_hi - k_lo:.3g} quantum numbers at hbar = "
+            f"{hbar!r}, above {MAX_TARGETS}")
+    k_min = math.floor(k_lo) - 3
+    k_max = math.ceil(k_hi) + 3
     ks = np.arange(k_min, k_max + 1)
     s = hbar * (ks + half) - j_off
     if am.cyl.min_action is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError
 from .operators import (Basis, TruncatedOperator, finite, integral,
                         positive_hbar)
 from .symbols import CircleSymbol
@@ -32,9 +32,6 @@ def quantize_circle(sym: CircleSymbol, eps: float, hbar: float, N: int):
     hbar = positive_hbar(hbar)
     N = integral("N", N)
     if N < 1:
-        if sym.max_fourier_index > 0:
-            raise TruncationError(
-                "degenerate truncation: N = 0 cannot hold any theta-coupling")
         raise ConfigError("N must be >= 1")
     basis = Basis(kind="fourier", N=N)
     dim = basis.dimension

@@ -28,16 +28,17 @@ class PairingSummary:
     count_in_window: int
     hausdorff_pred_to_computed: float | None
 
-    def to_json_dict(self):
-        return {
-            "max_dist": self.max_dist,
-            "mean_dist": self.mean_dist,
-            "count_in_window": self.count_in_window,
-            "hausdorff_pred_to_computed": self.hausdorff_pred_to_computed,
-        }
 
+def pair_spectra(computed, predictions):
+    """Match predicted points (k, lambda') to computed eigenvalues.
 
-def _greedy_pairs(computed, predictions):
+    Returns at most min(len(computed), len(predictions)) MatchedPair
+    entries; each computed eigenvalue is used at most once.
+    """
+    computed = [complex(z) for z in computed]
+    predictions = [(int(k), complex(z)) for k, z in predictions]
+    if not computed or not predictions:
+        return []
     # dist[j, i] = |computed[i] - predictions[j]|.  np.hypot rounds like
     # Python's abs(complex); np.abs on complex differs in the last bit.
     diff = np.array(computed)[None, :] \
@@ -62,19 +63,6 @@ def _greedy_pairs(computed, predictions):
             break
     pairs.sort(key=lambda p: p.k)
     return pairs
-
-
-def pair_spectra(computed, predictions):
-    """Match predicted points (k, lambda') to computed eigenvalues.
-
-    Returns at most min(len(computed), len(predictions)) MatchedPair
-    entries; each computed eigenvalue is used at most once.
-    """
-    computed = [complex(z) for z in computed]
-    predictions = [(int(k), complex(z)) for k, z in predictions]
-    if not computed or not predictions:
-        return []
-    return _greedy_pairs(computed, predictions)
 
 
 def directed_hausdorff(points, targets):

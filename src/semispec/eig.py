@@ -550,6 +550,6 @@ def _assemble(lams, res, fingerprint, engine):
     )
 
 
-def eigenvalues_of(op, **kwargs):
+def eigenvalues_of(op):
     """Spectrum of a TruncatedOperator (fingerprint taken from the matrix)."""
-    return eigenvalues(op.matrix, **kwargs)
+    return eigenvalues(op.matrix)

@@ -25,10 +25,6 @@ class BranchCutError(NumericError):
     """Action variable on the branch cut of the principal square root."""
 
 
-class TruncationError(NumericError):
-    """Degenerate truncation: basis window too small for the symbol."""
-
-
 class NumericRangeError(NumericError):
     """Overflow in matrix assembly (entries left the float range)."""
 

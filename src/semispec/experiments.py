@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -180,23 +180,10 @@ def build_operator(cfg: ExperimentConfig):
         return sym, quantize(sym, cfg.epsilon_value(), cfg.hbar_value(), cfg.N)
 
 
-def build_spectrum(op, spectra=None):
-    """The SpectrumResult of ``op``.
-
-    ``spectra``, when given, maps a matrix fingerprint to its
-    SpectrumResult: the matrix is looked up there and solved (and stored)
-    only on a miss, so runs that quantize the same matrix share one solve.
-    The spectrum is a deterministic function of the matrix, so sharing
-    changes no result.
-    """
+def build_spectrum(op):
+    """The SpectrumResult of ``op``."""
     with _stage("spectrum"):
-        if spectra is None:
-            return eigenvalues_of(op)
-        key = op.matrix_fingerprint()
-        spec = spectra.get(key)
-        if spec is None:
-            spec = spectra[key] = eigenvalues_of(op)
-        return spec
+        return eigenvalues_of(op)
 
 
 def build_action_map(cfg: ExperimentConfig, sym=None):
@@ -270,7 +257,7 @@ class ComparisonReport:
                  "distance": p.distance}
                 for p in self.pairs
             ],
-            "summary": self.summary.to_json_dict(),
+            "summary": asdict(self.summary),
         }
 
 
@@ -293,15 +280,24 @@ def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
     """Full pipeline for one config; writes artifact files when asked.
 
     Produces the spectrum CSV, prediction CSVs for both modes, the
-    comparison report JSON and a plot script under cfg.out.  ``spectra``
-    is the fingerprint -> spectrum dict of build_spectrum.
+    comparison report JSON and a plot script under cfg.out.  ``spectra``,
+    when given, maps a matrix fingerprint to its SpectrumResult: the
+    matrix is looked up there and solved (and stored) only on a miss, so
+    runs that quantize the same matrix share one solve.  The spectrum is
+    a deterministic function of the matrix, so sharing changes no result.
     """
     if cfg.N < 8:
         raise ConfigError("comparisons need N >= 8")
     window = cfg.window_value()
     sym, op = build_operator(cfg)
     rect, predictions = build_predictions(cfg, sym)
-    spec = build_spectrum(op, spectra)
+    if spectra is None:
+        spec = build_spectrum(op)
+    else:
+        key = op.matrix_fingerprint()
+        spec = spectra.get(key)
+        if spec is None:
+            spec = spectra[key] = build_spectrum(op)
     with _stage("compare"):
         in_window = tuple(z for z in spec.eigenvalues
                           if window[0] <= z.real <= window[1]
@@ -419,14 +415,6 @@ class PTReport:
     max_abs_imag_in_window: float
     count_in_window: int
 
-    def to_json_dict(self):
-        return {
-            "symbol_symmetric": self.symbol_symmetric,
-            "conjugation_defect": self.conjugation_defect,
-            "max_abs_imag_in_window": self.max_abs_imag_in_window,
-            "count_in_window": self.count_in_window,
-        }
-
 
 def pt_verify(cfg: ExperimentConfig, write=True):
     """Three-level PT check: symbol predicate, matrix conjugation symmetry
@@ -445,7 +433,7 @@ def pt_verify(cfg: ExperimentConfig, write=True):
     if write and cfg.out is not None:
         payload = {"config": {"text": cfg.canonical_text()},
                    "provenance": _provenance(cfg),
-                   "pt": report.to_json_dict()}
+                   "pt": asdict(report)}
         write_files(cfg.out, {"pt_report.json": json.dumps(
             payload, sort_keys=True, indent=2) + "\n"})
     return report

@@ -96,9 +96,8 @@ def quantize_plane(sym: PlaneSymbol, eps: float, hbar: float, N: int):
            for m, n in monomials):
         raise ConfigError(
             f"monomial degree above {MAX_MONOMIAL_DEGREE} is unsupported")
-    deg = sym.degree
-    basis = Basis(kind="fock", N=N, padding=deg)
-    pad_dim = N + 1 + deg
+    basis = Basis(kind="fock", N=N)
+    pad_dim = N + 1 + sym.degree
     lp = ladder(pad_dim, hbar)
     x_op = lp.position()
     xi_op = lp.momentum()

@@ -270,10 +270,7 @@ def parse_circle(text):
         f_terms[n] = c
     deg = max(f_terms, default=0)
     f_coeffs = tuple(f_terms.get(nn, 0.0) for nn in range(deg + 1))
-    q_terms = {}
-    for (m, n), c in q.items():
-        q_terms[(m, n)] = q_terms.get((m, n), 0.0) + complex(c)
-    return CircleSymbol(f_coeffs=f_coeffs, q_terms=q_terms)
+    return CircleSymbol(f_coeffs=f_coeffs, q_terms=q)
 
 
 def parse_plane(text):

@@ -4,12 +4,12 @@ Serialization formats (stable, consumed by the CLI and the eigensolver):
 
 * JSON object::
 
-      {"basis": "fourier" | "fock", "N": int, "padding": int,
-       "hbar": float, "rows": [[re, im, re, im, ...], ...]}
+      {"basis": "fourier" | "fock", "N": int, "hbar": float,
+       "rows": [[re, im, re, im, ...], ...]}
 
   ``rows`` lists the matrix rows, each row flattened to interleaved
   real/imaginary parts.  Other keys are ignored on reading, such as the
-  "symbol_fingerprint" that earlier versions wrote.
+  "symbol_fingerprint" and "padding" that earlier versions wrote.
 
 * CSV: one matrix row per line, interleaved  re,im,re,im,...
 """
@@ -69,13 +69,11 @@ def matrix_fingerprint(m):
 class Basis:
     kind: str  # "fourier" or "fock"
     N: int
-    padding: int = 0
 
     def __post_init__(self):
         if self.kind not in ("fourier", "fock"):
             raise ConfigError(f"unknown basis kind {self.kind!r}")
         object.__setattr__(self, "N", integral("N", self.N))
-        object.__setattr__(self, "padding", integral("padding", self.padding))
         if self.dimension > MAX_DIMENSION:
             raise ConfigError(f"{self.kind} basis at N = {self.N} has dimension "
                               f"{self.dimension}, above {MAX_DIMENSION}")
@@ -121,7 +119,6 @@ class TruncatedOperator:
         return {
             "basis": self.basis.kind,
             "N": self.basis.N,
-            "padding": self.basis.padding,
             "hbar": self.hbar,
             "rows": rows,
         }
@@ -131,7 +128,7 @@ class TruncatedOperator:
 
     @classmethod
     def from_json_dict(cls, d):
-        basis = Basis(kind=d["basis"], N=d["N"], padding=d.get("padding", 0))
+        basis = Basis(kind=d["basis"], N=d["N"])
         rows = d["rows"]
         dim = len(rows)
         if dim != basis.dimension:
@@ -144,6 +141,8 @@ class TruncatedOperator:
                 raise ConfigError(f"row {i} has {flat.size} numbers, "
                                   f"expected {2 * dim}")
             m[i] = flat[0::2] + 1j * flat[1::2]
+        if not np.isfinite(m).all():
+            raise ConfigError("operator JSON has non-finite matrix entries")
         return cls(matrix=m, basis=basis, hbar=d["hbar"])
 
     @classmethod

@@ -82,10 +82,6 @@ class CircleSymbol:
         object.__setattr__(self, "f_coeffs", f)
         object.__setattr__(self, "q_terms", MappingProxyType(paired))
 
-    @property
-    def max_fourier_index(self):
-        return max((abs(m) for m, _ in self.q_terms), default=0)
-
     def f_value(self, I):
         return _polyval(self.f_coeffs, I)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semispec import (CircleSymbol, ConfigError, DomainError,
-                      TruncatedOperator, TruncationError, quantize_circle)
+                      TruncatedOperator, quantize_circle)
 
 COS = {(1, 0): 0.5, (-1, 0): 0.5}
 
@@ -118,7 +118,7 @@ class TestInvariants:
     def test_band_structure(self, sym):
         N = 6
         op = quantize_circle(sym, 0.37, 0.2, N)
-        band = sym.max_fourier_index
+        band = max((abs(m) for m, _ in sym.q_terms), default=0)
         for j in range(2 * N + 1):
             for k in range(2 * N + 1):
                 if abs(j - k) > band:
@@ -148,14 +148,16 @@ class TestInvariants:
 
 
 class TestErrors:
+    # N = 0 is a configuration error whether or not the symbol couples
+    # Fourier modes, as in quantize_plane and ExperimentConfig
     def test_degenerate_truncation(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms=COS)
-        with pytest.raises(TruncationError):
+        with pytest.raises(ConfigError, match="N must be >= 1"):
             quantize_circle(sym, 0.1, 0.1, 0)
 
     def test_small_N_without_coupling(self):
         sym = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="N must be >= 1"):
             quantize_circle(sym, 0.0, 0.1, 0)
 
     def test_bad_hbar(self):

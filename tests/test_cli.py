@@ -40,17 +40,23 @@ class TestQuantizeAndSpectrum:
         expected = sorted((2 * k + 1) / 6 for k in range(7))
         assert np.allclose(eigs, expected, atol=1e-12)
 
-    def test_spectrum_reads_symbol_fingerprint_key(self, tmp_path):
-        # operator.json files from earlier versions carry a
-        # "symbol_fingerprint" key; reading one gives the same spectrum
-        run(["quantize", "--model", "circle", "--symbol", FIG1, "--N", "6",
-             "--epsilon", "0.1", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv,legacy", [
+        (["--model", "circle", "--symbol", FIG1, "--epsilon", "0.1"],
+         {"symbol_fingerprint": "0" * 64}),
+        (["--model", "line", "--symbol", "x^2 + xi^2 + i*epsilon*x^3",
+          "--delta", "0.5"], {"padding": 3}),
+    ], ids=["symbol_fingerprint", "padding"])
+    def test_spectrum_reads_legacy_keys(self, tmp_path, argv, legacy):
+        # operator.json files from earlier versions carry keys that are no
+        # longer written (the Fock "padding" was deg(symbol)); reading one
+        # gives the same spectrum
+        run(["quantize", *argv, "--N", "6", "--out", str(tmp_path)])
         data = json.loads((tmp_path / "operator.json").read_text())
-        assert "symbol_fingerprint" not in data
+        assert not legacy.keys() & data.keys()
         old = tmp_path / "old"
         old.mkdir()
         (old / "operator.json").write_text(json.dumps(
-            {**data, "symbol_fingerprint": "0" * 64}, sort_keys=True) + "\n")
+            {**data, **legacy}, sort_keys=True) + "\n")
         for out in (tmp_path, old):
             assert run(["spectrum", "--matrix", str(out / "operator.json"),
                         "--out", str(out)]) == 0
@@ -307,6 +313,16 @@ class TestExitCodes:
          "--out", "{tmp}"],
         ["pt-verify", "--model", "line", "--symbol", FIG5, "--N", "100000",
          "--delta", "0.5", "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", FIG1, "--N", "100000000",
+         "--delta", "0.5", "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", FIG1, "--N", "12",
+         "--delta", "0.5", "--rect=-1e300,1e300,-1,1", "--out", "{tmp}"],
+        ["compare", "--model", "circle", "--symbol", FIG1, "--N", "66",
+         "--epsilon", "0.1", "--hbar", "1e-12", "--rect=-0.5,0.5,-0.1,0.1",
+         "--out", "{tmp}"],
+        ["predict", "--model", "circle", "--symbol", "1e-300*I", "--N", "12",
+         "--delta", "0.5", "--out", "{tmp}"],
+        ["spectrum", "--matrix", "{tmp}/entry_nan.json", "--out", "{tmp}"],
     ], ids=["rect", "window", "matrix-not-json", "matrix-no-basis",
             "matrix-bad-rows", "matrix-missing", "matrix-config-missing",
             "matrix-config-unknown-key", "matrix-N-abc",
@@ -321,7 +337,9 @@ class TestExitCodes:
             "window-empty", "symbol-token", "symbol-cos-zero",
             "symbol-cos-fraction", "symbol-f-theta", "symbol-complex-q",
             "matrix-basis-torus", "matrix-row-length", "matrix-N-past-cap",
-            "quantize-N-past-cap", "pt-verify-N-past-cap"])
+            "quantize-N-past-cap", "pt-verify-N-past-cap", "predict-N-huge",
+            "predict-rect-wide", "compare-hbar-tiny-rect", "symbol-flat-f",
+            "matrix-entry-nan"])
     def test_malformed_input_is_2(self, tmp_path, capsys, argv):
         (tmp_path / "not_json.txt").write_text("rows: 1 2 3\n")
         (tmp_path / "no_basis.json").write_text(
@@ -342,6 +360,9 @@ class TestExitCodes:
         (tmp_path / "short_row.json").write_text(
             '{"basis": "fock", "N": 1, "hbar": 1.0, '
             '"rows": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0]]}\n')
+        (tmp_path / "entry_nan.json").write_text(
+            '{"basis": "fock", "N": 1, "hbar": 1.0, '
+            '"rows": [[NaN, 0, 1, 0], [1, 0, 0, 0]]}\n')
         (tmp_path / "N_past_cap.json").write_text(
             '{"basis": "fock", "N": 100000, "hbar": 1.0, '
             '"rows": [[1.0, 0.0]]}\n')

@@ -202,9 +202,9 @@ class TestRunExperiment:
         solve = semispec.experiments.eigenvalues_of
         calls = []
 
-        def counting(op, **kwargs):
+        def counting(op):
             calls.append(op.matrix_fingerprint())
-            return solve(op, **kwargs)
+            return solve(op)
 
         monkeypatch.setattr(semispec.experiments, "eigenvalues_of", counting)
         cfg = ExperimentConfig(
@@ -323,9 +323,9 @@ class TestSpectrumReuse:
         solve = semispec.experiments.eigenvalues_of
         calls = []
 
-        def counting(op, **kwargs):
+        def counting(op):
             calls.append(op.matrix_fingerprint())
-            return solve(op, **kwargs)
+            return solve(op)
 
         monkeypatch.setattr(semispec.experiments, "eigenvalues_of", counting)
         results = reproduce_figures(tmp_path, N=12)

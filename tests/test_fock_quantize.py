@@ -174,7 +174,6 @@ class TestQuantizePlane:
         op = quantize_plane(sym, 0.1, 0.2, 9)
         assert op.basis.kind == "fock"
         assert op.basis.N == 9
-        assert op.basis.padding == 3
         assert op.dimension == 10
 
     def test_degree_guard(self):

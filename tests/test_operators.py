@@ -6,7 +6,7 @@ import pytest
 
 from semispec import (ActionMap, Basis, CircleSymbol, ConfigError,
                       ExperimentConfig, PlaneSymbol, Rectangle,
-                      TruncatedOperator, ladder, predict_spectrum,
+                      TruncatedOperator, action, ladder, predict_spectrum,
                       operators, quantize_circle, quantize_plane)
 
 CIRCLE = CircleSymbol(f_coeffs=(0.0, 1.0), q_terms={(1, 0): 0.5, (-1, 0): 0.5})
@@ -44,10 +44,8 @@ def _operator_json(**fields):
     return json.dumps(d)
 
 
-@pytest.mark.parametrize("fields", [{"N": 1.7}, {"N": "1"}, {"N": None},
-                                    {"padding": 0.5}],
-                         ids=["N-fraction", "N-string", "N-null",
-                              "padding-fraction"])
+@pytest.mark.parametrize("fields", [{"N": 1.7}, {"N": "1"}, {"N": None}],
+                         ids=["N-fraction", "N-string", "N-null"])
 def test_non_integral_basis_size_in_json(fields):
     # int() used to cut N = 1.7 to 1
     with pytest.raises(ConfigError, match="must be an integer"):
@@ -92,7 +90,7 @@ def test_non_integral_N_is_config_error(quantize):
 
 
 def _no_allocation(*args, **kwargs):
-    raise AssertionError("allocated a matrix past the dimension cap")
+    raise AssertionError("allocated past a cost cap")
 
 
 @pytest.mark.parametrize("kind,N", [("fourier", 1024), ("fock", 2048)])
@@ -121,6 +119,37 @@ def test_json_row_count_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "empty", _no_allocation)
     with pytest.raises(ConfigError, match="2 rows, its basis dimension is 3"):
         TruncatedOperator.from_json(_operator_json(N=2))
+
+
+def _predict_circle(hbar, rect, mode="principal_exact"):
+    return predict_spectrum(ActionMap(CIRCLE.cylinder_map(0.1)), hbar,
+                            "circle_k", mode, rect)
+
+
+@pytest.mark.parametrize("hbar,rect", [
+    (1e-12, Rectangle(-0.5, 0.5, -0.1, 0.1)),
+    (1 / 12, Rectangle(-1e300, 1e300, -1.0, 1.0)),
+    (1e-12, Rectangle(-1e300, 1e300, -1.0, 1.0)),
+    (1e-12, Rectangle(1e300, 1.5e300, -1.0, 1.0)),
+], ids=["hbar-tiny", "rect-wide", "span-inf", "span-nan"])
+def test_target_budget_before_allocation(monkeypatch, hbar, rect):
+    # the quantum numbers past the budget are never listed: np.arange
+    # would fail the test, and math.floor would raise OverflowError on
+    # the infinite ends of the last two rects
+    monkeypatch.setattr(np, "arange", _no_allocation)
+    with pytest.raises(ConfigError, match="quantum numbers"):
+        _predict_circle(hbar, rect)
+
+
+def test_target_budget_edge():
+    # f = I maps the rect's Re range to actions one to one, so it spans
+    # width / hbar quantum numbers
+    hbar = 1.0 / action.MAX_TARGETS
+    pred = _predict_circle(hbar, Rectangle(-0.49, 0.49, -1.0, 1.0),
+                           mode="averaged_first_order")
+    assert len(pred.points) > 0.97 * action.MAX_TARGETS
+    with pytest.raises(ConfigError, match="quantum numbers"):
+        _predict_circle(hbar, Rectangle(-0.51, 0.51, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("matrix,N", [(np.zeros((2, 3)), 1), (np.eye(3), 1)],

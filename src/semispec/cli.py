@@ -1,17 +1,20 @@
 """Command-line front end.
 
 Subcommands: quantize, spectrum, predict, compare, reproduce-figures,
-pt-verify.  The run parameters are the rows of _PARAMS: each is a flag
---<key> and a key of a flat config file (--config FILE, lines "key =
-value", '#' comments, keys in any case with '_' or '-'); flags win.
+pt-verify, scan.  The run parameters are the rows of _PARAMS: each is a
+flag --<key> and a key of a flat config file (--config FILE, lines "key
+= value", '#' comments, keys in any case with '_' or '-'); flags win.
 Exit codes: 0 success, 2 config error (also for a malformed value from
 a flag or the file, and for a --config or --matrix file that is
 missing, unreadable or malformed, for an --out that cannot be written,
-and for a run parameter other than out given to spectrum --matrix), 3
-numeric failure (the failing stage is named on stderr).  Without --out,
-quantize, spectrum, predict and pt-verify write into the current
-directory; compare and reproduce-figures need it.  Every subcommand runs the stage functions of semispec.experiments and writes
-through its write_files.
+for a run parameter other than out given to spectrum --matrix, for N
+or out given to scan, and for a scan point with eigenvalues in the
+window but no prediction in the rect), 3 numeric failure (the failing
+stage is named on stderr).  Without --out, quantize, spectrum, predict
+and pt-verify write into the current directory; compare and
+reproduce-figures need it, and scan writes nothing.  Every subcommand
+runs the stage functions of semispec.experiments, and every file is
+written through its write_files.
 """
 
 from __future__ import annotations
@@ -19,10 +22,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .action import Rectangle
+from .compare import directed_hausdorff
 from .errors import ConfigError, NumericError
 from .experiments import (ExperimentConfig, build_operator, build_predictions,
                           build_spectrum, pt_verify, reproduce_figures,
@@ -105,6 +112,11 @@ def _build_parser():
     add_params(p, ("out", "N", "delta"))
     p = sub.add_parser("pt-verify", help="parity-conjugation symmetry checks")
     add_common(p)
+    p = sub.add_parser("scan", help="max_dist vs N and its fitted order in "
+                                    "hbar; writes nothing")
+    add_common(p)
+    p.add_argument("--Ns", default="24,33,48,66",
+                   help="comma-separated truncation sizes")
     return parser
 
 
@@ -158,8 +170,11 @@ def _param_values(args):
     return values
 
 
-def _experiment_config(args):
+def _experiment_config(args, refused=()):
     values = _param_values(args)
+    given = [key for key in refused if key in values]
+    if given:
+        raise ConfigError(f"{args.command} takes no {', '.join(given)}")
     for key in ("model", "symbol"):
         if key not in values:
             raise ConfigError(f"--{key} is required")
@@ -216,6 +231,7 @@ def _cmd_compare(args):
     result = run_experiment(cfg)
     summary = result.principal_report.summary
     print(f"count_in_window={summary.count_in_window} "
+          f"pairs={len(result.principal_report.pairs)} "
           f"max_dist={summary.max_dist:.6e} mean_dist={summary.mean_dist:.6e}")
     print(f"wrote {Path(cfg.out) / 'report.json'}")
     return 0
@@ -248,6 +264,40 @@ def _cmd_pt_verify(args):
     return 0
 
 
+def _cmd_scan(args):
+    # one pipeline run per N, nothing written; the order is the slope of
+    # log max_dist against log hbar
+    try:
+        ns = [int(v) for v in args.Ns.split(",")]
+    except ValueError:
+        raise ConfigError(f"--Ns must be comma-separated integers, got "
+                          f"{args.Ns!r}") from None
+    cfg = _experiment_config(args, refused=("N", "out"))
+    hbars, dists = [], []
+    for n in ns:
+        t0 = time.perf_counter()
+        point = replace(cfg, N=n)
+        result = run_experiment(point, write=False)
+        dist = directed_hausdorff(
+            result.in_window, result.predictions["principal_exact"].values())
+        if dist is None:
+            raise ConfigError(f"N={n}: no principal_exact prediction in "
+                              "the rect; in-window eigenvalues: "
+                              f"{len(result.in_window)}")
+        hbars.append(point.hbar_value())
+        dists.append(dist)
+        print(f"N={n:4d}  hbar={hbars[-1]:.6f}  max_dist={dist:.6e}  "
+              f"[{time.perf_counter() - t0:.2f}s]")
+    if len(set(hbars)) < 2:
+        print("fitted log-log order: undefined (fewer than two distinct hbar)")
+    elif min(dists) > 0:
+        order = np.polyfit(np.log(hbars), np.log(dists), 1)[0]
+        print(f"fitted log-log order: {order:.2f}")
+    else:
+        print("fitted log-log order: undefined (a max_dist is 0)")
+    return 0
+
+
 _COMMANDS = {
     "quantize": _cmd_quantize,
     "spectrum": _cmd_spectrum,
@@ -255,6 +305,7 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "reproduce-figures": _cmd_reproduce_figures,
     "pt-verify": _cmd_pt_verify,
+    "scan": _cmd_scan,
 }
 
 

@@ -71,11 +71,18 @@ class ExperimentConfig:
             raise ConfigError("give either epsilon or delta, not both")
         object.__setattr__(self, "floquet_offset",
                            floquet_offset_value(self.floquet_offset))
+        if not isinstance(self.maslov, bool):
+            raise ConfigError(f"maslov must be True or False, got "
+                              f"{self.maslov!r}")
         if self.window is not None:
-            lo, hi = self.window
+            try:
+                lo, hi = (float(v) for v in self.window)
+            except (TypeError, ValueError):
+                raise ConfigError(f"window must be two numbers lo,hi, got "
+                                  f"{self.window!r}") from None
             if not lo < hi:
                 raise ConfigError("window must be lo,hi with lo < hi")
-            object.__setattr__(self, "window", (float(lo), float(hi)))
+            object.__setattr__(self, "window", (lo, hi))
 
     def hbar_value(self):
         return positive_hbar(1.0 / self.N if self.hbar is None else self.hbar)

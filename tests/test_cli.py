@@ -484,6 +484,120 @@ class TestReproduceFiguresCLI:
             == [f"figure{k:02d}" for k in range(1, 10)]
 
 
+# one FIG1 eigenvalue in the window and in this rect, but no prediction
+NO_PREDICTION_RECT = "--rect=-0.7925,-0.7905,0.062203,0.062207"
+
+
+def scan_argv(*argv, symbol=FIG1, epsilon="0.1"):
+    return ["scan", "--model", "circle", "--symbol", symbol,
+            "--epsilon", epsilon, *argv]
+
+
+@pytest.mark.filterwarnings("error")
+class TestScan:
+    def test_fig1_order(self, capsys):
+        assert run(scan_argv()) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out[:4]] \
+            == ["N=", "N=", "N=", "N="]
+        dists = [float(line.split("max_dist=")[1].split()[0])
+                 for line in out[:4]]
+        assert dists == pytest.approx(
+            [5.698509e-06, 6.727736e-07, 6.360360e-08, 1.169039e-09],
+            rel=1e-4)
+        assert out[1].startswith("N=  33  hbar=0.030303  ")
+        order = float(out[4].removeprefix("fitted log-log order: "))
+        assert order == pytest.approx(8.14, abs=0.01)
+
+    def test_bad_Ns_is_config_error(self, capsys):
+        for ns in ("4", "24,x"):
+            code = run(scan_argv("--Ns", ns))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error: ")
+            assert "Traceback" not in err
+
+    def test_zero_epsilon_order_is_undefined(self, capsys):
+        code = run(scan_argv("--Ns", "8,12", epsilon="0"))
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert "max_dist=0.000000e+00" in out
+        assert "fitted log-log order: undefined" in out
+        assert "nan" not in out
+
+    def test_repeated_N_order_is_undefined(self, capsys):
+        # two points at the same N determine no slope (numpy's polyfit
+        # would warn that the fit is poorly conditioned)
+        code = run(scan_argv("--Ns", "8,8"))
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert out.count("N=   8") == 2
+        assert "fitted log-log order: undefined" in out
+
+    def test_fixed_hbar_order_is_undefined(self, capsys):
+        # the fit is against hbar, so distinct N at one hbar fit nothing
+        code = run(scan_argv("--Ns", "8,12", "--hbar", "0.1"))
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert out.count("hbar=0.100000") == 2
+        assert "fitted log-log order: undefined" in out
+
+    def test_numeric_failure_is_3(self, capsys):
+        # f = I^3 - I folds at I = 1/sqrt(3): the action inversion misses
+        # and the scan must report the failing stage
+        code = run(scan_argv("--Ns", "8,12",
+                             symbol="I^3 - I + i*epsilon*cos(theta)",
+                             epsilon="0.05"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numeric failure: stage=predict")
+        assert "Traceback" not in err
+
+    def test_no_prediction_in_rect_is_2(self, capsys):
+        code = run(scan_argv("--Ns", "24", NO_PREDICTION_RECT))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: N=24: no principal_exact "
+                              "prediction in the rect")
+
+    @pytest.mark.parametrize("key,value", [("N", "24"), ("out", "{tmp}")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_N_and_out_refused(self, tmp_path, capsys, key, value, source):
+        value = value.format(tmp=tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n" if source == "config" else "")
+        argv = scan_argv("--config", str(cfg))
+        if source == "flag":
+            argv += [f"--{key}", value]
+        assert run(argv) == 2
+        assert capsys.readouterr().err \
+            == f"config error: scan takes no {key}\n"
+
+    def test_takes_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = circle\nsymbol = {FIG1}\ndelta = 0.5\n")
+        assert run(["scan", "--config", str(cfg), "--Ns", "12,16"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("N=") == 2
+        assert "fitted log-log order: " in out
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_compare_prints_pair_count(tmp_path, capsys):
+    # a rect with one eigenvalue and no prediction has max_dist 0 over
+    # zero pairs, which the pair count tells apart from agreement
+    assert run(["compare", "--model", "circle", "--symbol", FIG1,
+                "--epsilon", "0.1", "--N", "24", NO_PREDICTION_RECT,
+                "--out", str(tmp_path)]) == 0
+    assert "count_in_window=1 pairs=0 max_dist=0.000000e+00" \
+        in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["comparisons"]["principal_exact"]["pairs"] == []
+
+
 @pytest.mark.parametrize("params", [
     ["--model", "circle", "--symbol", FIG1, "--N", "12", "--delta", "0.5"],
     ["--model", "line", "--symbol", FIG5, "--N", "12", "--delta", "0.5"],

@@ -64,6 +64,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.window_value()
 
+    @pytest.mark.parametrize("window", [(0, 1, 2), (0,), 5, (None, 1),
+                                        ("a", 1), 1j])
+    def test_window_not_two_numbers_rejected(self, window):
+        with pytest.raises(ConfigError, match="window must be two numbers"):
+            ExperimentConfig(model="circle", symbol=FIG1, window=window)
+
+    def test_window_stored_as_floats(self):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1,
+                               window=[-1, np.float64(0.5)])
+        assert cfg.window == (-1.0, 0.5)
+        assert all(type(v) is float for v in cfg.window)
+
+    @pytest.mark.parametrize("maslov", ["off", "on", 0, 1, None])
+    def test_maslov_not_bool_rejected(self, maslov):
+        with pytest.raises(ConfigError, match="maslov must be True or False"):
+            ExperimentConfig(model="circle", symbol=FIG1, maslov=maslov)
+
+    @pytest.mark.parametrize("maslov", [True, False])
+    def test_maslov_bool_recorded(self, maslov):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, maslov=maslov)
+        assert f"maslov = {'on' if maslov else 'off'}" in cfg.canonical_text()
+
     def test_config_hash_stable(self):
         a = ExperimentConfig(model="circle", symbol=FIG1, N=16)
         b = ExperimentConfig(model="circle", symbol=FIG1, N=16)

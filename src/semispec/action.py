@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import (ConfigError, CriticalLevelError, DegeneracyError,
                      DomainError, InversionError, LevelSetError)
-from .operators import positive_hbar
+from .operators import positive_hbar, read_only
 
 DEFAULT_NODES = 128  # starting grid; an under-resolved loop doubles it
 MAX_NODES = 2048
@@ -139,13 +139,22 @@ def _nodes(num_nodes):
     return 2.0 * np.pi * np.arange(num_nodes) / num_nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class QuantizationPrediction:
+    """The predicted points: values[i] for the quantum number ks[i], k
+    ascending, each field a read-only array (int and complex)."""
+
     rule: str  # "circle_k" | "line_maslov"
     mode: str  # "averaged_first_order" | "principal_exact"
-    points: tuple  # of (k, complex)
+    ks: np.ndarray
+    values: np.ndarray
     hbar: float
     eps: float
+
+    @property
+    def points(self):
+        """The (k, value) pairs, as Python ints and complexes."""
+        return tuple(zip(self.ks.tolist(), self.values.tolist()))
 
     def to_csv(self):
         lines = ["k,re,im,rule,mode"]
@@ -162,9 +171,6 @@ class QuantizationPrediction:
             "points": [{"k": k, "re": lam.real, "im": lam.imag}
                        for k, lam in self.points],
         }
-
-    def values(self):
-        return np.array([lam for _, lam in self.points], dtype=complex)
 
 
 class ActionMap:
@@ -449,7 +455,7 @@ def predict_spectrum(am: ActionMap, hbar, rule, mode, rect: Rectangle,
         near = rect.expanded(margin_re, margin_im).contains(averaged)
         ks, values = ks[near], am.invert_action(s[near])
     inside = rect.contains(values)
-    points = tuple((int(k), complex(v))
-                   for k, v in zip(ks[inside], values[inside]))
-    return QuantizationPrediction(rule=rule, mode=mode, points=points,
+    return QuantizationPrediction(rule=rule, mode=mode,
+                                  ks=read_only(ks[inside]),
+                                  values=read_only(values[inside]),
                                   hbar=float(hbar), eps=float(am.eps))

@@ -279,7 +279,7 @@ def _cmd_scan(args):
         point = replace(cfg, N=n)
         result = run_experiment(point, write=False)
         dist = directed_hausdorff(
-            result.in_window, result.predictions["principal_exact"].values())
+            result.in_window, result.predictions["principal_exact"].values)
         if dist is None:
             raise ConfigError(f"N={n}: no principal_exact prediction in "
                               "the rect; in-window eigenvalues: "

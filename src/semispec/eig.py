@@ -60,10 +60,16 @@ factorization A = Q T Q^H is available for the backward-error estimate.
 The sweeps call the platform QR factorization (np.linalg.qr), but no
 platform eigenroutine is called.
 
-``engine="numpy"`` substitutes the platform routine behind the same
-contract; downstream code only sees SpectrumResult.  It solves the whole
-matrix without the split, so it stays a reference that does not depend
-on the block detection.
+``engine="numpy"`` substitutes the platform routine (LAPACK, through
+np.linalg.eig) behind the same contract; downstream code only sees
+SpectrumResult.  It is the engine of the pipeline: eigenvalues_of, the
+one solve build_spectrum reaches, takes it, while eigenvalues() keeps
+"qr" as its default.  It solves the whole matrix without the split, so
+it stays a reference that does not depend on the block detection.  When
+S^-1 M S is exactly real, with S = diag(1, i, -1, -i, 1, ...), it solves
+that real matrix instead: a PT-symmetric Fock matrix, whose entries obey
+M_ab = (-1)^(a+b) conj(M_ab), has this form, and its real eigenvalues
+then come out exactly real and its others in exactly conjugate pairs.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, SolverError
-from .operators import matrix_fingerprint
+from .operators import matrix_fingerprint, read_only
 
 DEFLATION_TOL = 1e-14
 MAX_ITER_FACTOR = 40
@@ -99,29 +105,33 @@ MULTISHIFT_MIN = 100
 DEFLATION_WINDOW = 48
 BULGE_SPACING = 3  # the least spacing that keeps bulges independent
 NIBBLE = 0.14  # early deflation of this share of its window skips the sweep
+# s_a = i**a by table: 1j ** a is inexact from about a = 97 on
+PHASES = np.array([1, 1j, -1, -1j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class SpectrumResult:
-    """Eigenvalues sorted by (Re, Im) ascending, with residuals.
+    """Eigenvalues sorted by (Re, Im) ascending, with residuals, as
+    read-only complex and float arrays.
 
     Engine "qr": every entry carries the Schur backward-error estimate
     ||Q T Q^H - M||_F / ||M||_F.  Engine "numpy": residuals[i] =
     ||M v_i - lambda_i v_i||_2 / ||M||_F for its unit eigenvector v_i.
     """
 
-    eigenvalues: tuple
-    residuals: tuple
+    eigenvalues: np.ndarray
+    residuals: np.ndarray
     source_fingerprint: str
     engine: str
 
     @property
     def tolerance(self):
-        return max(self.residuals) if self.residuals else 0.0
+        return float(self.residuals.max()) if self.residuals.size else 0.0
 
     def to_csv(self):
         lines = ["re,im,residual"]
-        for lam, res in zip(self.eigenvalues, self.residuals):
+        for lam, res in zip(self.eigenvalues.tolist(),
+                            self.residuals.tolist()):
             lines.append(f"{lam.real!r},{lam.imag!r},{res!r}")
         return "\n".join(lines) + "\n"
 
@@ -511,9 +521,12 @@ def eigenvalues(m, engine="qr"):
         return _assemble(lams, np.zeros(a.shape[0]), fingerprint, engine)
 
     if engine == "numpy":
-        lams, vecs = np.linalg.eig(scale * a)
-        res = np.linalg.norm(scale * a @ vecs - vecs * lams[None, :],
-                             axis=0) / norm
+        b = scale * a
+        real = _real_form(b)
+        if real is not None:
+            b = real
+        lams, vecs = np.linalg.eig(b)
+        res = np.linalg.norm(b @ vecs - vecs * lams, axis=0) / norm
         return _assemble(lams / scale, res, fingerprint, engine)
 
     blocks = _blocks(a)
@@ -538,18 +551,34 @@ def eigenvalues(m, engine="qr"):
     return _assemble(lams, np.full(a.shape[0], backward), fingerprint, engine)
 
 
+def _real_form(b):
+    """S^-1 B S as a real array when it is exactly real, else None.
+
+    S = diag(PHASES[a mod 4]) is unitary: the real matrix has B's
+    eigenvalues, and its eigenvectors w give B's as S w with the same
+    residual norms.  Multiplying by 1, i, -1 or -i is exact, and the
+    diagonal, which S leaves as it is, settles most matrices at once.
+    """
+    if np.diagonal(b).imag.any():
+        return None
+    s = PHASES[np.arange(b.shape[0]) % 4]
+    r = b * s
+    r *= s.conj()[:, None]
+    return None if r.imag.any() else r.real
+
+
 def _assemble(lams, res, fingerprint, engine):
-    order = np.lexsort((np.asarray(lams).imag, np.asarray(lams).real))
-    lams = np.asarray(lams)[order]
-    res = np.asarray(res, dtype=float)[order]
+    lams = np.asarray(lams, dtype=complex)
+    order = np.lexsort((lams.imag, lams.real))
     return SpectrumResult(
-        eigenvalues=tuple(complex(v) for v in lams),
-        residuals=tuple(float(r) for r in res),
+        eigenvalues=read_only(lams[order]),
+        residuals=read_only(np.asarray(res, dtype=float)[order]),
         source_fingerprint=fingerprint,
         engine=engine,
     )
 
 
 def eigenvalues_of(op):
-    """Spectrum of a TruncatedOperator (fingerprint taken from the matrix)."""
-    return eigenvalues(op.matrix)
+    """Spectrum of a TruncatedOperator on the platform engine: the one
+    solve of the pipeline (fingerprint taken from the matrix)."""
+    return eigenvalues(op.matrix, engine="numpy")

@@ -21,12 +21,13 @@ from . import __version__
 from .action import (ActionMap, Rectangle, floquet_offset_value,
                      predict_spectrum)
 from .circle_quantize import quantize_circle
-from .compare import PairingSummary, pair_spectra, summarize_pairs
+from .compare import Pairs, PairingSummary, pair_spectra, summarize_pairs
 from .eig import eigenvalues_of
 from .errors import ConfigError, PipelineError, SemispecError
 from .fock_quantize import quantize_plane
 from .grammar import parse_circle, parse_plane
-from .operators import finite, integral, positive_hbar
+from .operators import (finite, integral, positive_hbar, read_only,
+                        real_number)
 from .symbols import pt_symmetry_check
 
 INTERIOR_FRACTION = 0.8  # truncation corrupts edge eigenvalues
@@ -64,6 +65,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("circle", "line"):
             raise ConfigError(f"unknown model {self.model!r}")
+        if not isinstance(self.symbol, str):
+            raise ConfigError(f"symbol must be text, got {self.symbol!r}")
+        for name in ("hbar", "epsilon", "delta"):
+            if getattr(self, name) is not None:
+                real_number(name, getattr(self, name))
+        if self.rect is not None and not isinstance(self.rect, Rectangle):
+            raise ConfigError(f"rect must be a Rectangle, got {self.rect!r}")
         object.__setattr__(self, "N", integral("N", self.N))
         if self.N < 1:
             raise ConfigError("N must be >= 1")
@@ -144,11 +152,12 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _provenance(cfg):
+def _provenance(cfg, spec):
     import scipy
 
     return {
         "config_sha256": cfg.config_hash(),
+        "engine": spec.engine,
         "versions": {
             "semispec": __version__,
             "numpy": np.__version__,
@@ -188,7 +197,7 @@ def build_operator(cfg: ExperimentConfig):
 
 
 def build_spectrum(op):
-    """The SpectrumResult of ``op``."""
+    """The SpectrumResult of ``op``, from the platform engine."""
     with _stage("spectrum"):
         return eigenvalues_of(op)
 
@@ -246,11 +255,11 @@ def pt_checks(sym, op):
             "conjugation_defect": float(defect)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ComparisonReport:
     rule: str
     mode: str
-    pairs: tuple
+    pairs: Pairs
     summary: PairingSummary
 
     def to_json_dict(self):
@@ -268,12 +277,12 @@ class ComparisonReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ExperimentResult:
     config: ExperimentConfig
     rect: Rectangle
     spectrum: object
-    in_window: tuple  # eigenvalues in the window and the rect, as compared
+    in_window: np.ndarray  # eigenvalues in the window and rect, compared
     predictions: dict
     reports: dict  # mode -> ComparisonReport
     pt: dict | None
@@ -306,16 +315,16 @@ def run_experiment(cfg: ExperimentConfig, write=True, spectra=None):
         if spec is None:
             spec = spectra[key] = build_spectrum(op)
     with _stage("compare"):
-        in_window = tuple(z for z in spec.eigenvalues
-                          if window[0] <= z.real <= window[1]
-                          and rect.contains(z))
+        lams = spec.eigenvalues
+        in_window = read_only(lams[(window[0] <= lams.real)
+                                   & (lams.real <= window[1])
+                                   & rect.contains(lams)])
         reports = {}
         for mode, pred in predictions.items():
-            pairs = pair_spectra(in_window, pred.points)
-            summary = summarize_pairs(pairs, pred.points, in_window)
+            pairs = pair_spectra(in_window, pred.ks, pred.values)
+            summary = summarize_pairs(pairs, pred.values, in_window)
             reports[mode] = ComparisonReport(rule=pred.rule, mode=mode,
-                                             pairs=tuple(pairs),
-                                             summary=summary)
+                                             pairs=pairs, summary=summary)
         pt = pt_checks(sym, op) if cfg.model == "line" else None
     result = ExperimentResult(config=cfg, rect=rect, spectrum=spec,
                               in_window=in_window, predictions=predictions,
@@ -341,7 +350,7 @@ def result_report_dict(result: ExperimentResult):
             "rule": prediction_rule(cfg),
             "floquet_offset": cfg.floquet_offset,
         },
-        "provenance": _provenance(cfg),
+        "provenance": _provenance(cfg, result.spectrum),
         "pt": result.pt,
         "comparisons": {mode: rep.to_json_dict()
                         for mode, rep in result.reports.items()},
@@ -432,14 +441,14 @@ def pt_verify(cfg: ExperimentConfig, write=True):
     sym, op = build_operator(cfg)
     spec = build_spectrum(op)
     lo, hi = cfg.window_value()
-    inside = [z for z in spec.eigenvalues if lo <= z.real <= hi]
-    max_imag = max((abs(z.imag) for z in inside), default=0.0)
+    lams = spec.eigenvalues
+    imag = np.abs(lams.imag[(lo <= lams.real) & (lams.real <= hi)])
     report = PTReport(**pt_checks(sym, op),
-                      max_abs_imag_in_window=float(max_imag),
-                      count_in_window=len(inside))
+                      max_abs_imag_in_window=float(imag.max(initial=0.0)),
+                      count_in_window=len(imag))
     if write and cfg.out is not None:
         payload = {"config": {"text": cfg.canonical_text()},
-                   "provenance": _provenance(cfg),
+                   "provenance": _provenance(cfg, spec),
                    "pt": asdict(report)}
         write_files(cfg.out, {"pt_report.json": json.dumps(
             payload, sort_keys=True, indent=2) + "\n"})

@@ -56,6 +56,22 @@ def integral(name, value):
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def read_only(a):
+    """The array a, flagged read-only in place: a frozen result holding it
+    stays immutable."""
+    a.flags.writeable = False
+    return a
+
+
+def real_number(name, value):
+    """value itself; ConfigError unless it is a real number (a bool is
+    not one)."""
+    if isinstance(value, (int, float, np.integer, np.floating)) \
+            and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 def matrix_fingerprint(m):
     """sha256 of a matrix's shape and raw bytes: the one matrix identity
     used by TruncatedOperator and by SpectrumResult.source_fingerprint."""
@@ -99,9 +115,7 @@ class TruncatedOperator:
                 f"dimension {self.basis.dimension}")
         if not np.isfinite(m).all():
             raise DomainError("matrix has non-finite entries")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", read_only(m.copy()))
         object.__setattr__(self, "hbar", positive_hbar(self.hbar))
 
     @property

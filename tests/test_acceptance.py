@@ -73,7 +73,7 @@ def test_criterion_2_convergence_order_as_stated():
             ExperimentConfig(model="circle", symbol=FIG1, N=n, epsilon=0.1),
             write=False)
         errs.append(directed_hausdorff(
-            res.in_window, res.predictions["principal_exact"].values()))
+            res.in_window, res.predictions["principal_exact"].values))
     elapsed = time.perf_counter() - t0
     hs = [1.0 / n for n in ns]
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -94,7 +94,7 @@ def test_convergence_feasible_range():
             ExperimentConfig(model="circle", symbol=FIG1, N=n, epsilon=0.1),
             write=False)
         errs.append(directed_hausdorff(
-            res.in_window, res.predictions["principal_exact"].values()))
+            res.in_window, res.predictions["principal_exact"].values))
     order = float(np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs), 1)[0])
     print(f"\n[criterion 2 support] errors={[f'{e:.2e}' for e in errs]} "
           f"order={order:.2f}")
@@ -113,9 +113,9 @@ def test_criterion_3_averaged_predictor_at_reference_parameters():
     for k, lam in res.predictions["averaged_first_order"].points:
         assert lam == hbar * k + 1j * eps * (hbar * k) ** 2
     avg_err = directed_hausdorff(
-        res.in_window, res.predictions["averaged_first_order"].values())
+        res.in_window, res.predictions["averaged_first_order"].values)
     exact_err = directed_hausdorff(
-        res.in_window, res.predictions["principal_exact"].values())
+        res.in_window, res.predictions["principal_exact"].values)
     budget = 5 * eps ** 2
     ok = avg_err <= budget and exact_err <= avg_err
     report(3, ok, f"averaged err={avg_err:.3e} (<= 5*eps^2={budget:.3e}), "
@@ -132,7 +132,7 @@ def test_criterion_4_maslov_rule_wins_on_the_line():
             ExperimentConfig(model="line", symbol=FIG5, N=66, delta=0.5,
                              maslov=maslov), write=False)
         return directed_hausdorff(
-            res.in_window, res.predictions["principal_exact"].values())
+            res.in_window, res.predictions["principal_exact"].values)
 
     with_maslov = max_dist(True)
     without = max_dist(False)

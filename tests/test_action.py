@@ -178,7 +178,7 @@ class TestGridSolve:
         am = build_action_map(cfg)
         pred = predict_spectrum(am, cfg.hbar_value(), "circle_k",
                                 "averaged_first_order", default_rect(cfg, am))
-        energies = pred.values()
+        energies = pred.values
         assert energies.size >= 20
         grid = grid_levels(am, energies)
         assert not fallbacks
@@ -454,7 +454,7 @@ class TestInversion:
         assert not fallbacks
         assert not refinements
         assert [k for k, _ in coarse.points] == [k for k, _ in fine.points]
-        assert np.abs(coarse.values() - fine.values()).max() <= 1e-13
+        assert np.abs(coarse.values - fine.values).max() <= 1e-13
 
     @pytest.mark.parametrize("model,symbol", FIGURE_MAPS)
     def test_predictions_meet_quantized_action(self, model, symbol):

@@ -503,11 +503,11 @@ class TestScan:
         dists = [float(line.split("max_dist=")[1].split()[0])
                  for line in out[:4]]
         assert dists == pytest.approx(
-            [5.698509e-06, 6.727736e-07, 6.360360e-08, 1.169039e-09],
+            [5.698509e-06, 6.727736e-07, 6.360403e-08, 1.150178e-09],
             rel=1e-4)
         assert out[1].startswith("N=  33  hbar=0.030303  ")
         order = float(out[4].removeprefix("fitted log-log order: "))
-        assert order == pytest.approx(8.14, abs=0.01)
+        assert order == pytest.approx(8.16, abs=0.01)
 
     def test_bad_Ns_is_config_error(self, capsys):
         for ns in ("4", "24,x"):

@@ -7,6 +7,12 @@ from semispec import MatchedPair, pair_spectra
 from semispec.compare import directed_hausdorff, summarize_pairs
 
 
+def pair(computed, predictions):
+    """pair_spectra on (k, lambda') predictions."""
+    return pair_spectra(computed, [k for k, _ in predictions],
+                        [z for _, z in predictions])
+
+
 def reference_greedy_pairs(computed, predictions):
     """The loop the vectorized greedy pairing replaced: every (distance, j,
     i) candidate as a Python tuple, sorted, then taken greedily."""
@@ -51,28 +57,35 @@ class TestGreedyPairing:
     def test_basic_match(self):
         computed = [0.0 + 0j, 1.0 + 0j, 2.0 + 0j]
         predictions = [(0, 0.01 + 0j), (1, 1.02 + 0j), (2, 1.97 + 0j)]
-        pairs = pair_spectra(computed, predictions)
-        assert [p.k for p in pairs] == [0, 1, 2]
-        assert pairs[0].distance == pytest.approx(0.01)
-        assert pairs[2].distance == pytest.approx(0.03)
+        pairs = pair(computed, predictions)
+        assert pairs.ks.tolist() == [0, 1, 2]
+        assert pairs.distances[0] == pytest.approx(0.01)
+        assert pairs.distances[2] == pytest.approx(0.03)
 
     def test_each_computed_used_once(self):
         computed = [0.0 + 0j]
         predictions = [(0, 0.1 + 0j), (1, 0.2 + 0j)]
-        pairs = pair_spectra(computed, predictions)
+        pairs = pair(computed, predictions)
         assert len(pairs) == 1
-        assert pairs[0].k == 0
+        assert pairs.ks.tolist() == [0]
 
     def test_empty_inputs(self):
-        assert pair_spectra([], [(0, 1.0 + 0j)]) == []
-        assert pair_spectra([1.0 + 0j], []) == []
+        assert list(pair([], [(0, 1.0 + 0j)])) == []
+        assert list(pair([1.0 + 0j], [])) == []
+
+    def test_pairs_hold_a_copy_of_writable_input(self):
+        computed = np.array([0.0, 1.0], dtype=complex)
+        pairs = pair_spectra(computed, [0, 1], [0.1 + 0j, 0.9 + 0j])
+        computed[0] = 5.0
+        assert pairs.computed.tolist() == [0j, 1 + 0j]
+        assert not pairs.candidates.flags.writeable
 
     def test_greedy_matches_optimal_on_separated_data(self, rng):
         xs = np.arange(12) * 1.0
         computed = [complex(x, 0.001 * x) for x in xs]
         predictions = [(k, complex(x + 0.01 * rng.uniform(-1, 1), 0.0))
                        for k, x in enumerate(xs)]
-        greedy = pair_spectra(computed, predictions)
+        greedy = pair(computed, predictions)
         optimal = optimal_pairs(computed, predictions)
         assert [(p.k, p.computed) for p in greedy] \
             == [(p.k, p.computed) for p in optimal]
@@ -91,7 +104,7 @@ class TestGreedyPairing:
 
         computed = points(n_comp)
         predictions = list(enumerate(points(n_pred)))
-        got = pair_spectra(computed, predictions)
+        got = list(pair(computed, predictions))
         want = reference_greedy_pairs(computed, predictions)
         assert len(got) == min(n_pred, n_comp)
         assert got == want
@@ -103,8 +116,9 @@ class TestSummary:
     def test_mean_le_max(self, rng):
         computed = [complex(x, rng.uniform(-0.1, 0.1)) for x in range(10)]
         predictions = [(k, complex(k, 0.0)) for k in range(10)]
-        pairs = pair_spectra(computed, predictions)
-        summary = summarize_pairs(pairs, predictions, computed)
+        pairs = pair(computed, predictions)
+        summary = summarize_pairs(pairs, [z for _, z in predictions],
+                                  computed)
         assert summary.mean_dist <= summary.max_dist
         assert summary.count_in_window == 10
 
@@ -120,8 +134,8 @@ class TestSummary:
         predictions = [(k, complex(0.1 * k, 0.0)) for k in range(20)]
         computed = [complex(0.1 * k + rng.uniform(0, 0.004 * (1 + k)), 0.0)
                     for k in range(20)]
-        all_pairs = pair_spectra(computed, predictions)
+        all_pairs = pair(computed, predictions)
         windowed = [z for z in computed if z.real <= 1.0]
-        win_pairs = pair_spectra(windowed, predictions)
+        win_pairs = pair(windowed, predictions)
         assert max(p.distance for p in win_pairs) \
             <= max(p.distance for p in all_pairs)

@@ -81,6 +81,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="maslov must be True or False"):
             ExperimentConfig(model="circle", symbol=FIG1, maslov=maslov)
 
+    def test_symbol_not_text_rejected(self):
+        with pytest.raises(ConfigError, match="symbol must be text"):
+            ExperimentConfig(model="circle", symbol=5)
+
+    @pytest.mark.parametrize("value", ["x", True, 1j, [0.1]])
+    @pytest.mark.parametrize("field", ["hbar", "epsilon", "delta"])
+    def test_number_field_not_real_rejected(self, field, value):
+        # "x" raised a bare ValueError when resolved, and True was 1.0
+        with pytest.raises(ConfigError,
+                           match=f"{field} must be a real number"):
+            ExperimentConfig(model="circle", symbol=FIG1, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("hbar", 0.05), ("epsilon", 0), ("delta", np.float64(0.5))])
+    def test_number_field_admits_real_numbers(self, field, value):
+        cfg = ExperimentConfig(model="circle", symbol=FIG1, **{field: value})
+        assert getattr(cfg, field) is value
+
+    def test_rect_not_rectangle_rejected(self):
+        # a tuple was accepted, and canonical_text then raised AttributeError
+        with pytest.raises(ConfigError, match="rect must be a Rectangle"):
+            ExperimentConfig(model="circle", symbol=FIG1,
+                             rect=(-0.5, 0.5, -0.1, 0.1))
+
     @pytest.mark.parametrize("maslov", [True, False])
     def test_maslov_bool_recorded(self, maslov):
         cfg = ExperimentConfig(model="circle", symbol=FIG1, maslov=maslov)
@@ -145,7 +169,14 @@ class TestSymbolAcrossConfigs:
         cfg_a = ExperimentConfig(model=model, symbol=symbol, N=16, delta=0.5)
         cfg_b = ExperimentConfig(model=model, symbol=symbol, N=16, delta=0.3)
         sym_a = build_symbol(cfg_a)
-        assert build_predictions(cfg_b, sym_a) == build_predictions(cfg_b)
+
+        def fields(rect, preds):
+            return rect, {mode: (p.rule, p.ks.tolist(), p.values.tolist(),
+                                 p.hbar, p.eps)
+                          for mode, p in preds.items()}
+
+        assert fields(*build_predictions(cfg_b, sym_a)) \
+            == fields(*build_predictions(cfg_b))
         am = build_action_map(cfg_b, sym_a)
         assert am.eps == cfg_b.epsilon_value()
         s = np.linspace(0.2, 0.6, 5).astype(complex)
@@ -164,13 +195,30 @@ class TestRunExperiment:
         cfg = ExperimentConfig(model="circle", symbol=FIG1, N=16, delta=0.5)
         res = run_experiment(cfg, write=False)
         lo, hi = cfg.window_value()
-        expected = tuple(z for z in res.spectrum.eigenvalues
-                         if lo <= z.real <= hi and res.rect.contains(z))
-        assert res.in_window == expected
+        expected = [z for z in res.spectrum.eigenvalues.tolist()
+                    if lo <= z.real <= hi and res.rect.contains(z)]
+        assert res.in_window.tolist() == expected
         assert res.principal_report.summary.count_in_window \
             == len(res.in_window) > 0
         paired = {p.computed for p in res.principal_report.pairs}
         assert paired <= set(res.in_window)
+
+    def test_result_arrays_are_read_only(self):
+        cfg = ExperimentConfig(model="line", symbol=FIG5, N=16, delta=0.5)
+        res = run_experiment(cfg, write=False)
+        pairs = res.principal_report.pairs
+        pred = res.predictions["principal_exact"]
+        arrays = [res.spectrum.eigenvalues, res.spectrum.residuals,
+                  res.in_window, pred.ks, pred.values, pairs.candidates,
+                  pairs.pred_ks, pairs.pred_values, pairs.eig_index,
+                  pairs.pred_index]
+        assert len(pairs) > 0
+        for a in arrays:
+            assert a.size > 0
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        assert pairs.candidates is res.in_window
+        assert pairs.pred_values is pred.values
 
     def test_exact_match_at_eps_zero_line(self):
         cfg = ExperimentConfig(model="line", symbol="x^2 + xi^2", N=16)

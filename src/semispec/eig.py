@@ -1,8 +1,11 @@
 """Dense complex non-Hermitian eigensolver with residual diagnostics.
 
-Both engines solve scale * A, scale = 2**-e with e the binary exponent
-of max |a_ij|: an exact scaling that keeps the norm and the shifts clear
-of under- and overflow, undone on the eigenvalues.
+Two engines: "qr", the in-house reference below and the default of
+eigenvalues(), and "numpy", the platform routine, which the pipeline
+takes through eigenvalues_of.  Both solve scale * A, scale = 2**-e with
+e the binary exponent of max |a_ij|: an exact scaling that keeps the
+norm and the shifts clear of under- and overflow, undone on the
+eigenvalues.
 
 The reference path first splits the matrix into the diagonal blocks it
 decouples into exactly: the connected components of the nonzero pattern
@@ -57,15 +60,13 @@ Byers & Mathias (SIAM J. Matrix Anal. Appl. 23(4), 2002, Parts I and II):
 Only unitary transformations (reflections, QR factors and the chain's
 rotations) touch H and Q, and they are accumulated so a Schur
 factorization A = Q T Q^H is available for the backward-error estimate.
-The sweeps call the platform QR factorization (np.linalg.qr), but no
-platform eigenroutine is called.
+The sweeps call the platform QR factorization (np.linalg.qr), but the
+qr engine calls no platform eigenroutine.
 
 ``engine="numpy"`` substitutes the platform routine (LAPACK, through
 np.linalg.eig) behind the same contract; downstream code only sees
-SpectrumResult.  It is the engine of the pipeline: eigenvalues_of, the
-one solve build_spectrum reaches, takes it, while eigenvalues() keeps
-"qr" as its default.  It solves the whole matrix without the split, so
-it stays a reference that does not depend on the block detection.  When
+SpectrumResult.  It solves the whole matrix without the split, so the
+two engines agree without sharing the block detection.  When
 S^-1 M S is exactly real, with S = diag(1, i, -1, -i, 1, ...), it solves
 that real matrix instead: a PT-symmetric Fock matrix, whose entries obey
 M_ab = (-1)^(a+b) conj(M_ab), has this form, and its real eigenvalues
